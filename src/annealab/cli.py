@@ -8,7 +8,6 @@ overrides on top. Every run directory gets a manifest.json.
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,53 +17,48 @@ import numpy as np
 from . import __version__
 from .coloring_qubo import build_coloring_qubo
 from .experiments import (
+    BACKENDS,
+    FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
     baseline_run,
     config_hash,
+    is_manifest,
+    make_backend,
+    prepare_out,
     scaling_run,
     sweep_reverse_distance,
+    write_manifest,
 )
 from .graphs import Graph, generate_er, greedy_color_largest_first
-from .heuristic import (
-    StatevectorBackend,
-    SvmcBackend,
-    assisted_reverse_anneal,
-    resolve_backend,
-)
-from .schedules import ScheduleError, resolve_schedule
+from .heuristic import POLICIES, assisted_reverse_anneal
+from .schedules import resolve_schedule
 from .spectrum import SpectrumError, build_problem_diagonal, spectrum_sweep
 
-
-def _write_simple_manifest(out_dir: Path, command: str, params: dict, outputs):
-    import numpy
-    import scipy
-
-    payload = {k: v for k, v in params.items() if k != "out"}
-    manifest = {
-        "command": command,
-        "config": params,
-        "config_hash": hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()[:12],
-        "versions": {
-            "annealab": __version__,
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-        },
-        "outputs": sorted(outputs),
-    }
-    if "seed" in params:
-        manifest["seeds"] = {"master": params["seed"]}
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+CHOICES = {"backend": BACKENDS, "policy": POLICIES}
+HELP = {"k": "colors (default: greedy bound)", "out_dir": "output directory"}
+DEFAULTS = ExperimentConfig()
+# config fields the anneal command passes on to assisted_reverse_anneal
+ANNEAL_RUN_FIELDS = ("forward_shots", "seed", "total_time", "forward_time_scale",
+                     "ra_time_scale", "shots_per_cycle", "policy")
+ANNEAL_FIELDS = ("k", "schedule", *ANNEAL_RUN_FIELDS, "backend", "svmc_sweeps", "svmc_beta",
+                 "out_dir")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _dest(name: str) -> str:
+    return "out" if name == "out_dir" else name
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names, defaults: bool = False):
+    """One flag per ExperimentConfig field: --field-name (out_dir is --out),
+    typed and constrained as the field is. With defaults, each flag defaults
+    to the field's default; otherwise to None, meaning "not given"."""
+    for name in names:
+        kind, many, _ = FIELD_TYPES[name]
+        p.add_argument("--" + _dest(name).replace("_", "-"), dest=_dest(name), type=kind,
+                       nargs="+" if many else None, choices=CHOICES.get(name),
+                       default=getattr(DEFAULTS, name) if defaults else None,
+                       help=HELP.get(name))
 
 
 def _load_graph(path: str) -> Graph:
@@ -75,7 +69,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def cmd_generate(args) -> int:
-    out = _out_dir(args)
+    out = prepare_out(args.out)
     params = dict(n_vertices=args.n_vertices, p=args.p, count=args.count,
                   seed=args.seed, out=str(out))
     names = []
@@ -93,7 +87,7 @@ def cmd_generate(args) -> int:
                                           "greedy_k", "n_vars"])
         w.writeheader()
         w.writerows(rows)
-    _write_simple_manifest(out, "generate", params, names + ["instances.csv"])
+    write_manifest(out, "generate", params, names + ["instances.csv"])
     print(f"wrote {args.count} graphs to {out}")
     return 0
 
@@ -102,14 +96,14 @@ def cmd_spectrum(args) -> int:
     sched = resolve_schedule(args.schedule)
     g = _load_graph(args.graph)
     problem = build_coloring_qubo(g, args.k)
-    out = _out_dir(args)
+    out = prepare_out(args.out)
     diag = build_problem_diagonal(problem)
     table = spectrum_sweep(sched, diag, grid=np.linspace(0.0, 1.0, args.grid),
                            m=args.levels)
     table.to_csv(out / "spectrum.csv")
     params = dict(graph=args.graph, k=args.k, schedule=args.schedule,
                   levels=args.levels, grid=args.grid, out=str(out))
-    _write_simple_manifest(out, "spectrum", params, ["spectrum.csv"])
+    write_manifest(out, "spectrum", params, ["spectrum.csv"])
     print(f"wrote {out / 'spectrum.csv'} ({args.grid} rows x {args.levels} levels)")
     return 0
 
@@ -119,37 +113,17 @@ def cmd_anneal(args) -> int:
     g = _load_graph(args.graph)
     k = args.k if args.k is not None else greedy_color_largest_first(g)[0]
     problem = build_coloring_qubo(g, k)
-    backend, _ = resolve_backend(problem, _backend_from_name(args))
-    out = _out_dir(args)
-    record = assisted_reverse_anneal(
-        problem, backend, sched, s_prime=args.s_prime,
-        forward_shots=args.forward_shots, max_cycles=args.max_cycles,
-        seed=args.seed, total_time=args.total_time,
-        forward_time_scale=args.forward_time_scale,
-        ra_time_scale=args.ra_time_scale, shots_per_cycle=args.shots_per_cycle,
-        policy=args.policy,
-    )
+    out = prepare_out(args.out)
+    run = {name: getattr(args, name) for name in ("s_prime", "max_cycles", *ANNEAL_RUN_FIELDS)}
+    record = assisted_reverse_anneal(problem, make_backend(args), sched, **run)
     with open(out / "anneal_record.jsonl", "w") as f:
         f.write(record.to_jsonl() + "\n")
-    params = dict(graph=args.graph, k=k, schedule=args.schedule,
-                  s_prime=args.s_prime, forward_shots=args.forward_shots,
-                  max_cycles=args.max_cycles, seed=args.seed,
-                  total_time=args.total_time,
-                  forward_time_scale=args.forward_time_scale,
-                  ra_time_scale=args.ra_time_scale,
-                  shots_per_cycle=args.shots_per_cycle, policy=args.policy,
-                  backend=args.backend, svmc_sweeps=args.svmc_sweeps,
-                  svmc_beta=args.svmc_beta, out=str(out))
-    _write_simple_manifest(out, "anneal", params, ["anneal_record.jsonl"])
+    params = dict(run, graph=args.graph, k=k, schedule=args.schedule, backend=args.backend,
+                  svmc_sweeps=args.svmc_sweeps, svmc_beta=args.svmc_beta, out=str(out))
+    write_manifest(out, "anneal", params, ["anneal_record.jsonl"])
     print(f"outcome: {record.outcome} after {len(record.cycles)} RA cycles "
           f"(forward valid {record.forward['valid_count']}/{record.forward['count']})")
     return 0
-
-
-def _backend_from_name(args):
-    if args.backend == "svmc":
-        return SvmcBackend(sweeps_per_waypoint=args.svmc_sweeps, beta=args.svmc_beta)
-    return StatevectorBackend()
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -161,23 +135,10 @@ def _load_config(args) -> ExperimentConfig:
         with open(path) as f:
             loaded = json.load(f)
         # a manifest embeds the config it ran with; accept either shape
-        data = loaded["config"] if "config" in loaded and "command" in loaded else loaded
-    overrides = {
-        name: getattr(args, name)
-        for name in ("n_vertices", "p", "count", "seed", "k", "backend", "schedule",
-                     "forward_shots", "ra_samples", "shots_per_cycle", "policy",
-                     "svmc_sweeps", "svmc_beta", "total_time", "forward_time_scale",
-                     "ra_time_scale")
-        if getattr(args, name, None) is not None
-    }
-    if getattr(args, "s_grid", None):
-        overrides["s_grid"] = tuple(args.s_grid)
-    if getattr(args, "sizes", None):
-        overrides["sizes"] = tuple(args.sizes)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    data.update(overrides)
-    config = ExperimentConfig.from_dict(data)
+        data = loaded["config"] if is_manifest(loaded) else loaded
+    overrides = {name: getattr(args, _dest(name)) for name in FIELD_TYPES
+                 if getattr(args, _dest(name), None) is not None}
+    config = ExperimentConfig.from_dict(data, **overrides)
     resolve_schedule(config.schedule)  # fail on a missing schedule before any run
     return config
 
@@ -207,28 +168,6 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _add_batch_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="ExperimentConfig JSON or a manifest.json to replay")
-    p.add_argument("--n-vertices", dest="n_vertices", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--backend", choices=["statevector", "svmc"])
-    p.add_argument("--schedule")
-    p.add_argument("--s-grid", dest="s_grid", type=float, nargs="+")
-    p.add_argument("--forward-shots", dest="forward_shots", type=int)
-    p.add_argument("--ra-samples", dest="ra_samples", type=int)
-    p.add_argument("--total-time", dest="total_time", type=float)
-    p.add_argument("--forward-time-scale", dest="forward_time_scale", type=float)
-    p.add_argument("--ra-time-scale", dest="ra_time_scale", type=float)
-    p.add_argument("--shots-per-cycle", dest="shots_per_cycle", type=int)
-    p.add_argument("--policy", choices=["feed-last", "keep-best"])
-    p.add_argument("--svmc-sweeps", dest="svmc_sweeps", type=int)
-    p.add_argument("--svmc-beta", dest="svmc_beta", type=float)
-    p.add_argument("--out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annealab",
@@ -238,39 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a deterministic set of random graphs")
-    p.add_argument("--n-vertices", dest="n_vertices", type=int, default=5)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="runs")
+    _add_config_flags(p, ("n_vertices", "p", "count", "seed", "out_dir"), defaults=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("spectrum", help="tabulate the low-lying spectrum over s")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--schedule", default="linear")
     p.add_argument("--levels", type=int, default=15)
     p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--out", default="runs")
+    _add_config_flags(p, ("schedule", "out_dir"), defaults=True)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("anneal", help="run the assisted reverse-anneal algorithm once")
     p.add_argument("--graph", required=True, help="graph JSON file")
-    p.add_argument("--k", type=int, help="colors (default: greedy bound)")
-    p.add_argument("--schedule", default="linear")
     p.add_argument("--s-prime", dest="s_prime", type=float, default=0.44)
-    p.add_argument("--forward-shots", dest="forward_shots", type=int, default=100)
     p.add_argument("--max-cycles", dest="max_cycles", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--total-time", dest="total_time", type=float, default=100.0)
-    p.add_argument("--forward-time-scale", dest="forward_time_scale", type=float)
-    p.add_argument("--ra-time-scale", dest="ra_time_scale", type=float)
-    p.add_argument("--shots-per-cycle", dest="shots_per_cycle", type=int, default=1)
-    p.add_argument("--policy", choices=["feed-last", "keep-best"], default="feed-last")
-    p.add_argument("--backend", choices=["statevector", "svmc"], default="statevector")
-    p.add_argument("--svmc-sweeps", dest="svmc_sweeps", type=int, default=1000)
-    p.add_argument("--svmc-beta", dest="svmc_beta", type=float, default=10.0)
-    p.add_argument("--out", default="runs")
+    _add_config_flags(p, ANNEAL_FIELDS, defaults=True)
     p.set_defaults(fn=cmd_anneal)
 
     for name, fn, blurb in (
@@ -279,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("baseline", cmd_baseline, "assisted vs random-bitstring comparison"),
     ):
         p = sub.add_parser(name, help=blurb)
-        if name == "scaling":
-            p.add_argument("--sizes", type=int, nargs="+")
-        _add_batch_flags(p)
+        p.add_argument("--config", help="ExperimentConfig JSON or a manifest.json to replay")
+        _add_config_flags(p, [f for f in FIELD_TYPES if f != "sizes" or name == "scaling"])
         p.set_defaults(fn=fn)
     return parser
-
 
 def cli_entry(argv) -> int:
     parser = build_parser()
@@ -294,10 +214,7 @@ def cli_entry(argv) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ScheduleError, SpectrumError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, SpectrumError) as e:  # ConfigError, ScheduleError too
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,10 @@ import numpy as np
 
 from .graphs import Graph
 
+# energies at or below this count as valid; exact for this feasibility QUBO,
+# whose minimum is 0 precisely on the proper colorings
+VALID_ENERGY_TOL = 1e-9
+
 
 def index_to_bits(idx: int, n: int) -> str:
     return "".join("1" if (idx >> i) & 1 else "0" for i in range(n))
@@ -205,10 +209,6 @@ def build_coloring_qubo(g: Graph, k: int, penalty: float = 1.0) -> QuboProblem:
     )
 
 
-def qubo_energy(q: QuboProblem, bits) -> float:
-    return q.energy(bits)
-
-
 def qubo_to_ising(q: QuboProblem) -> IsingProblem:
     """Convert under s_i = 1 - 2 x_i; energies agree configuration by configuration."""
     h = np.zeros(q.n_vars)
@@ -239,6 +239,8 @@ def decode(q: QuboProblem, bits):
     if not q.var_map:
         raise ValueError("QUBO has no variable map; not a coloring instance")
     x = bits_to_array(bits) if isinstance(bits, str) else np.asarray(bits)
+    if x.shape != (q.n_vars,):
+        raise ValueError(f"expected {q.n_vars} bits, got shape {x.shape}")
     coloring: dict[int, int] = {}
     counts: dict[int, int] = {}
     for v, c, i in q.var_map:
@@ -259,7 +261,7 @@ def validate(q: QuboProblem, bits) -> bool:
     construction) when the QUBO was loaded without its source graph.
     """
     if q.source is None:
-        return abs(q.energy(bits)) <= 1e-9
+        return abs(q.energy(bits)) <= VALID_ENERGY_TOL
     coloring = decode(q, bits)
     if isinstance(coloring, OneHotViolation):
         return False

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .coloring_qubo import Sample, bits_to_index, index_to_bits
+from .coloring_qubo import VALID_ENERGY_TOL, Sample, bits_to_index, index_to_bits
 from .schedules import AnnealPath, Schedule, make_forward_path
 from .spectrum import ProblemDiagonal, apply_hamiltonian, driver_apply
 
 DRIFT_BOUND = 1e-6
-# energies at or below this count as ground / valid for feasibility QUBOs
-VALID_ENERGY_TOL = 1e-9
 # forward-anneal time scale calibrated so the P5/k=2 linear anneal leaves
 # >= 0.8 probability on the two proper colorings (convergence study in tests)
 SLOW_TIME_SCALE = 8.0

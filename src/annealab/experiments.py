@@ -22,8 +22,10 @@ import csv
 import hashlib
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__ as _pkg_version
@@ -31,23 +33,23 @@ from .coloring_qubo import QuboProblem, build_coloring_qubo, validate
 from .graphs import generate_er, greedy_color_largest_first
 from .heuristic import (
     FEED_LAST,
-    KEEP_BEST,
-    OUTCOME_EXHAUSTED,
-    OUTCOME_RA,
-    RunRecord,
+    POLICIES,
     StatevectorBackend,
     SvmcBackend,
-    problem_id,
+    _forward_summary,
+    _run_record,
     random_bits,
     resolve_backend,
-    run_chain,
+    run_chain,  # noqa: F401 -- kept importable here; perfbench/test_tracer.py patches this binding
     select_initial,
 )
-from .schedules import make_reverse_path, resolve_schedule, reverse_distance_grid
+from .schedules import resolve_schedule, reverse_distance_grid
 from .svmc import DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT
 
 SCALING_REVERSE_DISTANCE = 0.44
 WORKERS_ENV = "ANNEALAB_WORKERS"
+BACKENDS = ("statevector", "svmc")
+SERIES = ("best_bitstring", "random_bitstring")  # the baseline's two arms
 
 
 class ConfigError(ValueError):
@@ -85,59 +87,95 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.n_vertices < 1:
-            raise ConfigError(f"n_vertices must be >= 1, got {self.n_vertices}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must be in [0, 1], got {self.p}")
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.backend not in ("statevector", "svmc"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if not self.s_grid or any(not 0.0 < s < 1.0 for s in self.s_grid):
-            raise ConfigError(f"s_grid values must lie in (0, 1), got {self.s_grid}")
-        if self.forward_shots < 1:
-            raise ConfigError(f"forward_shots must be >= 1, got {self.forward_shots}")
-        if self.ra_samples < 0:
-            raise ConfigError(f"ra_samples must be >= 0, got {self.ra_samples}")
-        if self.total_time <= 0:
-            raise ConfigError(f"total_time must be positive, got {self.total_time}")
-        for name in ("forward_time_scale", "ra_time_scale"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
-        if self.shots_per_cycle < 1:
-            raise ConfigError(f"shots_per_cycle must be >= 1, got {self.shots_per_cycle}")
-        if self.policy not in (FEED_LAST, KEEP_BEST):
-            raise ConfigError(f"unknown feeding policy {self.policy!r}")
-        if self.svmc_sweeps < 1 or self.svmc_beta <= 0:
-            raise ConfigError("svmc calibration values must be positive")
-        if any(n < 1 for n in self.sizes):
-            raise ConfigError(f"sizes must be >= 1, got {self.sizes}")
+        def positive(v):
+            return v is None or v > 0
+
+        for name, ok, rule in (
+            ("n_vertices", self.n_vertices >= 1, ">= 1"),
+            ("p", 0.0 <= self.p <= 1.0, "in [0, 1]"),
+            ("count", self.count >= 1, ">= 1"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("k", self.k is None or self.k >= 1, ">= 1"),
+            ("forward_shots", self.forward_shots >= 1, ">= 1"),
+            ("ra_samples", self.ra_samples >= 0, ">= 0"),
+            ("total_time", self.total_time > 0, "positive"),
+            ("forward_time_scale", positive(self.forward_time_scale), "positive"),
+            ("ra_time_scale", positive(self.ra_time_scale), "positive"),
+            ("shots_per_cycle", self.shots_per_cycle >= 1, ">= 1"),
+            ("sizes", all(n >= 1 for n in self.sizes), ">= 1"),
+            ("s_grid", self.s_grid and all(0.0 < s < 1.0 for s in self.s_grid),
+             "non-empty with values in (0, 1)"),
+            ("s_grid", len(set(self.s_grid)) == len(self.s_grid), "free of repeated values"),
+            ("backend", self.backend in BACKENDS, f"one of {BACKENDS}"),
+            ("policy", self.policy in POLICIES, f"one of {POLICIES}"),
+            ("svmc_sweeps", self.svmc_sweeps >= 1, ">= 1"),
+            ("svmc_beta", self.svmc_beta > 0, "positive"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+    def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """Config from a JSON-shaped dict; `overrides` win over `d`."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+        d = {**d, **overrides}
+        extra = set(d) - set(FIELD_TYPES)
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        for name, value in d.items():
+            kind, many, optional = FIELD_TYPES[name]
+            if not _type_ok(value, kind, many, optional):
+                want = ("a list of " if many else "") + kind.__name__
+                raise ConfigError(f"{name} must be {want}{' or null' if optional else ''}, "
+                                  f"got {value!r}")
         return cls(**d)
+
+
+def _field_type(tp) -> tuple[type, bool, bool]:
+    """(value type, is a tuple of them, may be None) of a field annotation."""
+    args = typing.get_args(tp)
+    optional = type(None) in args
+    if optional:
+        tp = next(a for a in args if a is not type(None))
+    if typing.get_origin(tp) is tuple:
+        return typing.get_args(tp)[0], True, optional
+    return tp, False, optional
+
+
+# field name -> (value type, is a tuple, may be None); drives from_dict's
+# type check and the CLI's config flags
+FIELD_TYPES = {f.name: _field_type(f.type) for f in fields(ExperimentConfig)}
+
+
+def _type_ok(value, kind, many: bool, optional: bool) -> bool:
+    if value is None:
+        return optional
+    if many:
+        return isinstance(value, (list, tuple)) and all(
+            _type_ok(v, kind, False, False) for v in value)
+    # no field is a bool, and JSON ints are fine where a float is expected
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
+def _params_hash(params: dict) -> str:
+    # the output location is `out` for single-run commands, `out_dir` in configs
+    payload = {k: v for k, v in params.items() if k not in ("out", "out_dir")}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of everything that affects results; output location excluded."""
-    payload = config.to_dict()
-    payload.pop("out_dir")
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+    return _params_hash(config.to_dict())
 
 
-def make_backend(config: ExperimentConfig):
+def make_backend(config):
+    """Backend named by config.backend; reads svmc_sweeps and svmc_beta, so
+    parsed CLI arguments work as well as an ExperimentConfig."""
     if config.backend == "svmc":
         return SvmcBackend(sweeps_per_waypoint=config.svmc_sweeps, beta=config.svmc_beta)
     return StatevectorBackend()
@@ -171,48 +209,26 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
-def _forward_stage(problem, backend, sched, config, i):
-    kwargs = {}
-    if config.forward_time_scale is not None:
-        kwargs["time_scale"] = config.forward_time_scale
-    return backend.forward(
+def _setup(config: ExperimentConfig, i: int, size: int | None = None):
+    """Problem i, its forward samples, the initial bits selected from them,
+    and `chain(initial, chain_seed, s_prime=, forward=) -> RunRecord`, which
+    runs one collect-mode chain on the problem."""
+    problem = instance(config, i, size=size)
+    backend, substituted = resolve_backend(problem, make_backend(config))
+    sched = resolve_schedule(config.schedule)
+    fts = config.forward_time_scale
+    kwargs = {} if fts is None else {"time_scale": fts}
+    fwd = backend.forward(
         problem, sched, total_time=config.total_time, shots=config.forward_shots,
         seed=[config.seed, 1, i], **kwargs,
     )
-
-
-def _chain_record(problem, backend, substituted, sched, config, initial, s_prime,
-                  chain_seed, forward_summary, n_cycles) -> RunRecord:
-    path = make_reverse_path(s_prime, config.total_time)
-    cycles = run_chain(
-        problem, backend, sched, path, initial, n_cycles, chain_seed,
+    chain = partial(
+        _run_record, problem, backend, substituted, sched, n_cycles=config.ra_samples,
+        total_time=config.total_time, time_scale=config.ra_time_scale,
         shots_per_cycle=config.shots_per_cycle, policy=config.policy,
-        time_scale=config.ra_time_scale, halt_on_valid=False,
+        halt_on_valid=False, config_hash=config_hash(config),
     )
-    outcome = OUTCOME_RA if any(c.valid for c in cycles) else OUTCOME_EXHAUSTED
-    return RunRecord(
-        problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
-        backend_kind=backend.kind, backend_substituted=substituted,
-        forward=forward_summary, initial_bits=initial, cycles=cycles,
-        outcome=outcome,
-        seeds={"master": config.seed, "chain": list(chain_seed)},
-        schedule_name=sched.name,
-        path_info={
-            "kind": "reverse", "s_prime": s_prime, "total_time": config.total_time,
-            "time_scale": config.ra_time_scale,
-            "shots_per_cycle": config.shots_per_cycle, "policy": config.policy,
-            "mode": "collect",
-        },
-        config_hash=config_hash(config),
-    )
-
-
-def _summary(samples) -> dict:
-    return {
-        "count": len(samples),
-        "valid_count": sum(s.valid for s in samples),
-        "min_energy": min(s.energy for s in samples),
-    }
+    return problem, fwd, select_initial(fwd, [config.seed, 2, i]), chain
 
 
 def _valid_counts(cycles) -> tuple[int, int]:
@@ -245,44 +261,27 @@ class SweepSummary:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([
-                "problem_index", "problem_id", "n_vars", "k", "s_prime",
-                "initial_valid", "case", "total_valid", "unique_valid", "n_cycles",
-            ])
-            for r in self.rows:
-                w.writerow([
-                    r.problem_index, r.problem_id, r.n_vars, r.k,
-                    f"{r.s_prime:.10g}", int(r.initial_valid), r.case,
-                    r.total_valid, r.unique_valid, r.n_cycles,
-                ])
+        _write_csv(path, [{**asdict(r), "s_prime": f"{r.s_prime:.10g}",
+                           "initial_valid": int(r.initial_valid)} for r in self.rows])
 
 
 def _sweep_problem(config: ExperimentConfig, i: int):
-    """Forward once, then one collect-mode chain per grid value."""
-    problem = instance(config, i)
-    backend, substituted = resolve_backend(problem, make_backend(config))
-    sched = resolve_schedule(config.schedule)
-    fwd = _forward_stage(problem, backend, sched, config, i)
-    initial = select_initial(fwd, [config.seed, 2, i])
+    """Forward once, then one collect-mode chain per grid value; returns
+    (summary row, record) pairs."""
+    problem, fwd, initial, chain = _setup(config, i)
     initial_valid = validate(problem, initial)
-    summary = _summary(fwd)
-    rows, records = [], []
+    summary = _forward_summary(fwd)
+    out = []
     for j, s_prime in enumerate(config.s_grid):
-        rec = _chain_record(
-            problem, backend, substituted, sched, config, initial, s_prime,
-            (config.seed, 3, i, j), summary, config.ra_samples,
-        )
+        rec = chain(initial, (config.seed, 3, i, j), s_prime=s_prime, forward=summary)
         total, unique = _valid_counts(rec.cycles)
-        rows.append(SweepRow(
+        out.append((SweepRow(
             problem_index=i, problem_id=rec.problem_id, n_vars=problem.n_vars,
             k=problem.k, s_prime=s_prime, initial_valid=initial_valid,
             case="AB" if initial_valid else "CD",
             total_valid=total, unique_valid=unique, n_cycles=len(rec.cycles),
-        ))
-        records.append(rec)
-    return rows, records
+        ), rec))
+    return out
 
 
 def sweep_reverse_distance(config: ExperimentConfig, out_dir=None) -> SweepSummary:
@@ -291,61 +290,26 @@ def sweep_reverse_distance(config: ExperimentConfig, out_dir=None) -> SweepSumma
     Writes sweep_summary.csv, sweep_records.jsonl and manifest.json to the
     output directory and returns the summary.
     """
-    out = _prepare_out(config, out_dir)
-    results = _pmap(_SweepWorker(config), range(config.count))
-    rows = [r for rows, _ in results for r in rows]
-    records = [rec for _, recs in results for rec in recs]
-    order = sorted(range(len(records)),
-                   key=lambda ix: (records[ix].problem_id, records[ix].path_info["s_prime"]))
-    summary = SweepSummary(tuple(rows[ix] for ix in order))
+    out = prepare_out(config.out_dir if out_dir is None else out_dir)
+    results = _pmap(partial(_sweep_problem, config), range(config.count))
+    pairs = sorted((pair for batch in results for pair in batch),
+                   key=lambda pair: (pair[1].problem_id, pair[1].path_info["s_prime"]))
+    summary = SweepSummary(tuple(row for row, _ in pairs))
     summary.to_csv(out / "sweep_summary.csv")
-    _write_jsonl(out / "sweep_records.jsonl", (records[ix] for ix in order))
-    write_manifest(out, "sweep", config,
+    _write_jsonl(out / "sweep_records.jsonl", (rec.to_dict() for _, rec in pairs))
+    write_manifest(out, "sweep", config.to_dict(),
                    ["sweep_summary.csv", "sweep_records.jsonl"])
     return summary
 
 
-class _SweepWorker:
-    """Picklable problem-index worker for the process pool."""
-
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, i):
-        return _sweep_problem(self.config, i)
-
-
-class _ScalingWorker:
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, arg):
-        return _scaling_problem(self.config, *arg)
-
-
-class _BaselineWorker:
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, i):
-        return _baseline_problem(self.config, i)
-
-
-def _scaling_problem(config: ExperimentConfig, n: int, i: int):
-    problem = instance(config, i, size=n)
-    backend, substituted = resolve_backend(problem, make_backend(config))
-    sched = resolve_schedule(config.schedule)
-    fwd = _forward_stage(problem, backend, sched, config, i)
-    initial = select_initial(fwd, [config.seed, 2, i])
-    rec = _chain_record(
-        problem, backend, substituted, sched, config, initial,
-        SCALING_REVERSE_DISTANCE, (config.seed, 3, n, i), _summary(fwd),
-        config.ra_samples,
-    )
+def _scaling_problem(config: ExperimentConfig, job: tuple[int, int]):
+    n, i = job
+    problem, fwd, initial, chain = _setup(config, i, size=n)
+    rec = chain(initial, (config.seed, 3, n, i), s_prime=SCALING_REVERSE_DISTANCE,
+                forward=_forward_summary(fwd))
     fwd_bits = [s.bits for s in fwd if s.valid]
     ra_total, ra_unique = _valid_counts(rec.cycles)
     return {
-        "n_vars": problem.n_vars,
         "forward_valid": len(fwd_bits),
         "forward_unique": len(set(fwd_bits)),
         "ra_valid": ra_total,
@@ -359,127 +323,96 @@ def scaling_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     omitted rather than zero-filled."""
     if not config.sizes:
         raise ConfigError("scaling run needs a non-empty sizes list")
-    out = _prepare_out(config, out_dir)
-    args = [(n, i) for n in config.sizes for i in range(config.count)]
-    results = _pmap(_ScalingWorker(config), args)
-    groups: dict[int, list[dict]] = {}
-    for stats, _ in results:
-        groups.setdefault(stats["n_vars"], []).append(stats)
-    rows = []
-    for n_vars in sorted(groups):
-        batch = groups[n_vars]
-        m = len(batch)
-        rows.append({
-            "n_vars": n_vars,
-            "n_problems": m,
-            "avg_forward_valid": sum(b["forward_valid"] for b in batch) / m,
-            "avg_forward_unique": sum(b["forward_unique"] for b in batch) / m,
-            "avg_ra_valid": sum(b["ra_valid"] for b in batch) / m,
-            "avg_ra_unique": sum(b["ra_unique"] for b in batch) / m,
-        })
-    with open(out / "scaling.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=[
-            "n_vars", "n_problems", "avg_forward_valid", "avg_forward_unique",
-            "avg_ra_valid", "avg_ra_unique",
-        ])
-        w.writeheader()
-        w.writerows(rows)
-    records = [rec for _, rec in results]
-    order = sorted(range(len(records)),
-                   key=lambda ix: (records[ix].problem_id, records[ix].n_vars))
-    _write_jsonl(out / "scaling_records.jsonl", (records[ix] for ix in order))
-    write_manifest(out, "scaling", config, ["scaling.csv", "scaling_records.jsonl"])
+    out = prepare_out(config.out_dir if out_dir is None else out_dir)
+    jobs = [(n, i) for n in config.sizes for i in range(config.count)]
+    results = _pmap(partial(_scaling_problem, config), jobs)
+    groups: dict[tuple, list[dict]] = {}
+    for stats, rec in sorted(results, key=lambda result: result[1].n_vars):
+        groups.setdefault((rec.n_vars,), []).append(stats)
+    rows = _averages(groups, ("n_vars",))
+    _write_csv(out / "scaling.csv", rows)
+    records = sorted((rec for _, rec in results), key=lambda r: (r.problem_id, r.n_vars))
+    _write_jsonl(out / "scaling_records.jsonl", (rec.to_dict() for rec in records))
+    write_manifest(out, "scaling", config.to_dict(), ["scaling.csv", "scaling_records.jsonl"])
     return rows
 
 
 def _baseline_problem(config: ExperimentConfig, i: int):
-    problem = instance(config, i)
-    backend, substituted = resolve_backend(problem, make_backend(config))
-    sched = resolve_schedule(config.schedule)
-    fwd = _forward_stage(problem, backend, sched, config, i)
-    best_initial = select_initial(fwd, [config.seed, 2, i])
+    """(series, record) for both arms at every grid value."""
+    problem, fwd, best_initial, chain = _setup(config, i)
     rand_initial = random_bits(problem.n_vars, [config.seed, 4, i])
-    summary = _summary(fwd)
-    out = []
-    for j, s_prime in enumerate(config.s_grid):
-        for series, initial, fsum in (
-            ("best_bitstring", best_initial, summary),
-            ("random_bitstring", rand_initial, None),
-        ):
-            rec = _chain_record(
-                problem, backend, substituted, sched, config, initial, s_prime,
-                (config.seed, 3, i, j), fsum, config.ra_samples,
-            )
-            total, unique = _valid_counts(rec.cycles)
-            out.append((series, i, s_prime, total, unique, rec))
-    return out
+    summary = _forward_summary(fwd)
+    return [
+        (series, chain(initial, (config.seed, 3, i, j), s_prime=s_prime, forward=fsum))
+        for j, s_prime in enumerate(config.s_grid)
+        for series, initial, fsum in zip(SERIES, (best_initial, rand_initial), (summary, None))
+    ]
 
 
 def baseline_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Paired comparison: chains seeded by the selected forward bitstring vs
     a random bitstring, sharing per-chain seed streams. Emits per-s' averages
     for both series."""
-    out = _prepare_out(config, out_dir)
-    results = _pmap(_BaselineWorker(config), range(config.count))
-    flat = [item for batch in results for item in batch]
-    agg: dict[tuple[str, float], list[tuple[int, int]]] = {}
-    for series, _i, s_prime, total, unique, _rec in flat:
-        agg.setdefault((series, s_prime), []).append((total, unique))
-    rows = []
-    for series in ("best_bitstring", "random_bitstring"):
-        for s_prime in config.s_grid:
-            counts = agg[(series, s_prime)]
-            m = len(counts)
-            rows.append({
-                "series": series,
-                "s_prime": f"{s_prime:.10g}",
-                "n_problems": m,
-                "avg_valid": sum(t for t, _ in counts) / m,
-                "avg_unique": sum(u for _, u in counts) / m,
-            })
-    with open(out / "baseline.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["series", "s_prime", "n_problems",
-                                          "avg_valid", "avg_unique"])
-        w.writeheader()
-        w.writerows(rows)
-    records = [(series, rec) for series, _i, _s, _t, _u, rec in flat]
-    order = sorted(range(len(records)), key=lambda ix: (
-        records[ix][1].problem_id, records[ix][1].path_info["s_prime"], records[ix][0],
-    ))
-    with open(out / "baseline_records.jsonl", "w") as f:
-        for ix in order:
-            series, rec = records[ix]
-            d = rec.to_dict()
-            d["series"] = series
-            f.write(json.dumps(d, sort_keys=True) + "\n")
-    write_manifest(out, "baseline", config, ["baseline.csv", "baseline_records.jsonl"])
+    out = prepare_out(config.out_dir if out_dir is None else out_dir)
+    results = _pmap(partial(_baseline_problem, config), range(config.count))
+    flat = sorted((item for batch in results for item in batch), key=lambda item: (
+        item[1].problem_id, item[1].path_info["s_prime"], item[0]))
+    groups: dict[tuple, list[dict]] = {(series, s): [] for series in SERIES for s in config.s_grid}
+    for series, rec in flat:
+        total, unique = _valid_counts(rec.cycles)
+        groups[(series, rec.path_info["s_prime"])].append({"valid": total, "unique": unique})
+    rows = _averages(groups, ("series", "s_prime"))
+    for row in rows:
+        row["s_prime"] = f"{row['s_prime']:.10g}"
+    _write_csv(out / "baseline.csv", rows)
+    _write_jsonl(out / "baseline_records.jsonl",
+                 ({**rec.to_dict(), "series": series} for series, rec in flat))
+    write_manifest(out, "baseline", config.to_dict(),
+                   ["baseline.csv", "baseline_records.jsonl"])
     return rows
 
 
-def _prepare_out(config: ExperimentConfig, out_dir) -> Path:
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+def prepare_out(path) -> Path:
+    """The output directory, created if missing."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_jsonl(path, records):
+def _averages(groups: dict[tuple, list[dict]], key_names: tuple[str, ...]) -> list[dict]:
+    """One row per group: its key, its size as n_problems, and avg_<name>
+    for every count its dicts carry."""
+    return [
+        {**dict(zip(key_names, key)), "n_problems": len(batch),
+         **{f"avg_{name}": sum(b[name] for b in batch) / len(batch) for name in batch[0]}}
+        for key, batch in groups.items()
+    ]
+
+
+def _write_csv(path, rows: list[dict]):
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+
+
+def _write_jsonl(path, dicts):
     with open(path, "w") as f:
-        for rec in records:
-            f.write(rec.to_jsonl() + "\n")
+        for d in dicts:
+            f.write(json.dumps(d, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir, command: str, config: ExperimentConfig, outputs):
+def write_manifest(out_dir, command: str, params: dict, outputs):
     """Everything needed to replay the run; no timestamps, so replays of the
-    same config are byte-identical."""
+    same config are byte-identical. `params` is a batch config's to_dict()
+    or a single-run command's parameters."""
     import numpy
     import scipy
 
     manifest = {
         "command": command,
-        "config": config.to_dict(),
-        "config_hash": config_hash(config),
-        "seeds": {"master": config.seed},
-        "sample_accounting": "ra_samples counts chained reverse-anneal cycles",
+        "config": params,
+        "config_hash": _params_hash(params),
         "versions": {
             "annealab": _pkg_version,
             "numpy": numpy.__version__,
@@ -487,15 +420,24 @@ def write_manifest(out_dir, command: str, config: ExperimentConfig, outputs):
         },
         "outputs": sorted(outputs),
     }
+    if "seed" in params:
+        manifest["seeds"] = {"master": params["seed"]}
+    if "ra_samples" in params:
+        manifest["sample_accounting"] = "ra_samples counts chained reverse-anneal cycles"
     with open(Path(out_dir) / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def is_manifest(data) -> bool:
+    """Whether parsed JSON is a run manifest rather than a bare config."""
+    return isinstance(data, dict) and "config" in data and "command" in data
 
 
 def load_manifest_config(path) -> tuple[str, ExperimentConfig]:
     """(command, config) from a manifest written by write_manifest."""
     with open(path) as f:
         data = json.load(f)
-    if "config" not in data or "command" not in data:
+    if not is_manifest(data):
         raise ConfigError(f"{path} is not a run manifest")
     return data["command"], ExperimentConfig.from_dict(data["config"])

@@ -48,15 +48,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n_vertices, "edges": [list(e) for e in self.edges]})
 

@@ -8,12 +8,12 @@ valid output or when the cycle budget runs out.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import dynamics, svmc
-from .coloring_qubo import QuboProblem, Sample, qubo_to_ising, validate
+from .coloring_qubo import QuboProblem, Sample, qubo_to_ising
 from .schedules import Schedule, make_forward_path, make_reverse_path
 from .spectrum import QUBIT_CAP, build_problem_diagonal
 
@@ -23,6 +23,7 @@ OUTCOME_EXHAUSTED = "exhausted"
 
 FEED_LAST = "feed-last"
 KEEP_BEST = "keep-best"
+POLICIES = (FEED_LAST, KEEP_BEST)
 
 
 class BackendCapabilityError(ValueError):
@@ -31,15 +32,6 @@ class BackendCapabilityError(ValueError):
 
 def problem_id(problem: QuboProblem) -> str:
     return hashlib.sha256(problem.to_json().encode()).hexdigest()[:12]
-
-
-def _revalidate(problem: QuboProblem, samples: list[Sample]) -> list[Sample]:
-    # backends report validity straight from the combinatorial check so
-    # every stored flag can be re-derived from the bitstring alone
-    return [
-        Sample(bits=s.bits, energy=s.energy, valid=validate(problem, s.bits))
-        for s in samples
-    ]
 
 
 class StatevectorBackend:
@@ -62,19 +54,17 @@ class StatevectorBackend:
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
                 shots=1000, seed=0, time_scale=dynamics.SLOW_TIME_SCALE):
-        out = dynamics.forward_anneal(
+        return dynamics.forward_anneal(
             self._diag(problem), sched, total_time=total_time, shots=shots,
             seed=seed, time_scale=time_scale,
         )
-        return _revalidate(problem, out)
 
     def reverse(self, problem, sched, path, initial, shots=1, seed=0,
                 time_scale=dynamics.REVERSE_TIME_SCALE):
-        out = dynamics.reverse_anneal(
+        return dynamics.reverse_anneal(
             self._diag(problem), sched, path, initial, shots=shots, seed=seed,
             time_scale=time_scale,
         )
-        return _revalidate(problem, out)
 
 
 class SvmcBackend:
@@ -109,7 +99,7 @@ class SvmcBackend:
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
         # every shot is an independent trajectory on its own child stream
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        samples = [
+        return [
             svmc.svmc_run(
                 self._ising(problem), sched, path, initial=initial,
                 sweeps_per_waypoint=self._sweeps(time_scale), beta=self.beta,
@@ -117,7 +107,6 @@ class SvmcBackend:
             )
             for child in ss.spawn(shots)
         ]
-        return _revalidate(problem, samples)
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
                 shots=1000, seed=0, time_scale=None):
@@ -156,12 +145,7 @@ class CycleRecord:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "input_bits": self.input_bits,
-            "output_bits": self.output_bits,
-            "energy": self.energy,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -187,21 +171,7 @@ class RunRecord:
             raise ValueError("solved-by-ra requires a valid cycle output")
 
     def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "k": self.k,
-            "n_vars": self.n_vars,
-            "backend_kind": self.backend_kind,
-            "backend_substituted": self.backend_substituted,
-            "forward": self.forward,
-            "initial_bits": self.initial_bits,
-            "cycles": [c.to_dict() for c in self.cycles],
-            "outcome": self.outcome,
-            "seeds": self.seeds,
-            "schedule_name": self.schedule_name,
-            "path_info": self.path_info,
-            "config_hash": self.config_hash,
-        }
+        return {**asdict(self), "cycles": [c.to_dict() for c in self.cycles]}
 
     def to_jsonl(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -250,7 +220,7 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
     valid output; otherwise it always runs n_cycles (collection mode, used
     by the sweep protocols).
     """
-    if policy not in (FEED_LAST, KEEP_BEST):
+    if policy not in POLICIES:
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
@@ -271,6 +241,49 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
     return tuple(cycles)
 
 
+def _check_budget(s_prime: float, max_cycles: int, forward_shots: int = 1) -> None:
+    if not 0.0 < s_prime < 1.0:
+        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
+    if forward_shots < 1:
+        raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
+    if max_cycles < 0:
+        raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
+
+
+def _run_record(problem, backend, substituted: bool, sched: Schedule, initial, chain_seed,
+                *, n_cycles: int, s_prime: float, total_time: float, time_scale,
+                shots_per_cycle: int, policy: str, halt_on_valid: bool,
+                forward: dict | None, config_hash: str | None, seeds=None) -> RunRecord:
+    """Run one reverse-anneal chain from `initial` and assemble its record.
+
+    `initial` None means the forward stage already found a valid sample:
+    no chain runs and the outcome is solved-by-forward. `seeds` defaults to
+    the batch protocols' {"master", "chain"} form of a (master, ...) chain seed.
+    """
+    if seeds is None:
+        seeds = {"master": chain_seed[0], "chain": list(chain_seed)}
+    cycles: tuple[CycleRecord, ...] = ()
+    if initial is None:
+        outcome = OUTCOME_FORWARD
+    else:
+        cycles = run_chain(problem, backend, sched, make_reverse_path(s_prime, total_time),
+                           initial, n_cycles, chain_seed, shots_per_cycle=shots_per_cycle,
+                           policy=policy, time_scale=time_scale, halt_on_valid=halt_on_valid)
+        outcome = OUTCOME_RA if any(c.valid for c in cycles) else OUTCOME_EXHAUSTED
+    return RunRecord(
+        problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
+        backend_kind=backend.kind, backend_substituted=substituted,
+        forward=forward, initial_bits=initial, cycles=cycles, outcome=outcome,
+        seeds=seeds, schedule_name=sched.name,
+        path_info={
+            "kind": "reverse", "s_prime": s_prime, "total_time": total_time,
+            "time_scale": time_scale, "shots_per_cycle": shots_per_cycle,
+            "policy": policy, "mode": "halt" if halt_on_valid else "collect",
+        },
+        config_hash=config_hash,
+    )
+
+
 def assisted_reverse_anneal(
     problem: QuboProblem,
     backend,
@@ -287,41 +300,21 @@ def assisted_reverse_anneal(
     config_hash: str | None = None,
 ) -> RunRecord:
     """Forward stage, early exit on any valid sample, else iterated RA."""
-    if not 0.0 < s_prime < 1.0:
-        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
-    if forward_shots < 1:
-        raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
-    if max_cycles < 0:
-        raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
+    _check_budget(s_prime, max_cycles, forward_shots)
     backend, substituted = resolve_backend(problem, backend)
     entropy = _as_entropy(seed)
     fwd_kwargs = {} if forward_time_scale is None else {"time_scale": forward_time_scale}
     fwd = backend.forward(problem, sched, total_time=total_time,
                           shots=forward_shots, seed=[*entropy, 0], **fwd_kwargs)
-    seeds = {"master": _seed_json(seed), "forward": [*entropy, 0],
-             "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]}
-    path_info = {
-        "kind": "reverse", "s_prime": s_prime, "total_time": total_time,
-        "time_scale": ra_time_scale, "shots_per_cycle": shots_per_cycle,
-        "policy": policy, "mode": "halt",
-    }
-    common = dict(
-        problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
-        backend_kind=backend.kind, backend_substituted=substituted,
-        forward=_forward_summary(fwd), seeds=seeds, schedule_name=sched.name,
-        path_info=path_info, config_hash=config_hash,
-    )
-    if any(s.valid for s in fwd):
-        return RunRecord(initial_bits=None, cycles=(), outcome=OUTCOME_FORWARD, **common)
-    initial = select_initial(fwd, [*entropy, 1])
-    path = make_reverse_path(s_prime, total_time)
-    cycles = run_chain(problem, backend, sched, path, initial, max_cycles, entropy,
-                       shots_per_cycle=shots_per_cycle, policy=policy,
-                       time_scale=ra_time_scale, halt_on_valid=True)
-    solved = bool(cycles) and cycles[-1].valid
-    return RunRecord(
-        initial_bits=initial, cycles=cycles,
-        outcome=OUTCOME_RA if solved else OUTCOME_EXHAUSTED, **common,
+    initial = None if any(s.valid for s in fwd) else select_initial(fwd, [*entropy, 1])
+    return _run_record(
+        problem, backend, substituted, sched, initial, entropy, n_cycles=max_cycles,
+        s_prime=s_prime, total_time=total_time, time_scale=ra_time_scale,
+        shots_per_cycle=shots_per_cycle, policy=policy, halt_on_valid=True,
+        forward=_forward_summary(fwd),
+        seeds={"master": _seed_json(seed), "forward": [*entropy, 0],
+               "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
+        config_hash=config_hash,
     )
 
 
@@ -345,30 +338,14 @@ def random_initial_baseline(
 ) -> RunRecord:
     """Same loop as the assisted run but seeded with a random bitstring and
     no forward stage; shares the per-cycle seed derivation for pairing."""
-    if not 0.0 < s_prime < 1.0:
-        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
-    if max_cycles < 0:
-        raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
+    _check_budget(s_prime, max_cycles)
     backend, substituted = resolve_backend(problem, backend)
     entropy = _as_entropy(seed)
-    initial = random_bits(problem.n_vars, [*entropy, 1])
-    path = make_reverse_path(s_prime, total_time)
-    cycles = run_chain(problem, backend, sched, path, initial, max_cycles, entropy,
-                       shots_per_cycle=shots_per_cycle, policy=policy,
-                       time_scale=ra_time_scale, halt_on_valid=True)
-    solved = bool(cycles) and cycles[-1].valid
-    return RunRecord(
-        problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
-        backend_kind=backend.kind, backend_substituted=substituted,
-        forward=None, initial_bits=initial, cycles=cycles,
-        outcome=OUTCOME_RA if solved else OUTCOME_EXHAUSTED,
-        seeds={"master": _seed_json(seed), "select": [*entropy, 1],
-               "cycle_prefix": [*entropy, 2]},
-        schedule_name=sched.name,
-        path_info={
-            "kind": "reverse", "s_prime": s_prime, "total_time": total_time,
-            "time_scale": ra_time_scale, "shots_per_cycle": shots_per_cycle,
-            "policy": policy, "mode": "halt",
-        },
+    return _run_record(
+        problem, backend, substituted, sched, random_bits(problem.n_vars, [*entropy, 1]),
+        entropy, n_cycles=max_cycles, s_prime=s_prime, total_time=total_time,
+        time_scale=ra_time_scale, shots_per_cycle=shots_per_cycle, policy=policy,
+        halt_on_valid=True, forward=None,
+        seeds={"master": _seed_json(seed), "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
         config_hash=config_hash,
     )

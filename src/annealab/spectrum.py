@@ -50,7 +50,7 @@ class ProblemDiagonal:
 
 
 def build_problem_diagonal(q: QuboProblem, cap: int = QUBIT_CAP) -> ProblemDiagonal:
-    """Tabulate qubo_energy(x) for every basis state x. Guarded at `cap` qubits."""
+    """Tabulate QuboProblem.energy(x) for every basis state x. Guarded at `cap` qubits."""
     if q.n_vars > cap:
         raise ValueError(f"diagonal construction capped at {cap} qubits, got {q.n_vars}")
     r = np.arange(1 << q.n_vars, dtype=np.uint32)

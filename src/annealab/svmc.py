@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring_qubo import IsingProblem, Sample
-from .dynamics import VALID_ENERGY_TOL
+from .coloring_qubo import VALID_ENERGY_TOL, IsingProblem, Sample
 from .schedules import AnnealPath, Schedule
 
 DEFAULT_BETA = 10.0

@@ -1,10 +1,13 @@
 """End-to-end checks of the argparse front end via cli_entry."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from annealab.cli import cli_entry
+from annealab.cli import build_parser, cli_entry
+from annealab.experiments import ExperimentConfig
 from annealab.graphs import Graph, generate_er
 
 
@@ -135,3 +138,44 @@ def test_scaling_requires_sizes(tmp_path, capsys):
                         "--out", tmp_path], capsys)
     assert code == 1
     assert "sizes" in err
+
+
+@pytest.mark.parametrize("content, expected", [
+    ("[1, 2]", "JSON object"),
+    ('{"count": "3"}', "count must be int"),
+])
+def test_bad_config_file_is_a_clean_error(tmp_path, capsys, content, expected):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(content)
+    code, _, err = run(["sweep", "--config", cfg_file, "--out", tmp_path / "o"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and expected in err
+
+
+def _options(command) -> dict[str, str]:
+    """option string -> dest for one subcommand, leaving out --help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: a.dest for a in sub.choices[command]._actions
+            for opt in a.option_strings if opt not in ("-h", "--help")}
+
+
+@pytest.mark.parametrize("command", ["sweep", "scaling", "baseline"])
+def test_batch_flags_are_one_per_config_field(command):
+    want = {"--config": "config"}
+    for f in fields(ExperimentConfig):
+        if f.name == "out_dir":
+            want["--out"] = "out"
+        elif f.name != "sizes" or command == "scaling":
+            want["--" + f.name.replace("_", "-")] = f.name
+    assert _options(command) == want
+
+
+def test_single_run_flags_are_unchanged():
+    assert set(_options("anneal")) == {
+        "--graph", "--k", "--schedule", "--s-prime", "--forward-shots", "--max-cycles",
+        "--seed", "--total-time", "--forward-time-scale", "--ra-time-scale",
+        "--shots-per-cycle", "--policy", "--backend", "--svmc-sweeps", "--svmc-beta", "--out",
+    }
+    assert set(_options("generate")) == {"--n-vertices", "--p", "--count", "--seed", "--out"}
+    assert set(_options("spectrum")) == {
+        "--graph", "--k", "--schedule", "--levels", "--grid", "--out"}

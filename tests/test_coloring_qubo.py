@@ -15,7 +15,6 @@ from annealab.coloring_qubo import (
     build_coloring_qubo,
     decode,
     index_to_bits,
-    qubo_energy,
     qubo_to_ising,
     validate,
 )
@@ -55,7 +54,7 @@ def test_energy_matches_penalty_form():
         q = build_coloring_qubo(g, k, penalty=1.7)
         for _ in range(50):
             bits = rng.integers(0, 2, size=q.n_vars)
-            assert qubo_energy(q, bits) == pytest.approx(penalty_form_energy(g, k, 1.7, bits))
+            assert q.energy(bits) == pytest.approx(penalty_form_energy(g, k, 1.7, bits))
 
 
 def test_offset_and_all_zeros():
@@ -63,13 +62,13 @@ def test_offset_and_all_zeros():
     q = build_coloring_qubo(g, 3, penalty=2.5)
     assert q.offset == pytest.approx(2.5 * 7)
     # all-zeros pays exactly the one-hot penalty for every vertex
-    assert qubo_energy(q, np.zeros(q.n_vars)) == pytest.approx(2.5 * 7)
+    assert q.energy(np.zeros(q.n_vars)) == pytest.approx(2.5 * 7)
 
 
 def test_single_vertex_single_color():
     q = build_coloring_qubo(Graph(1), 1)
-    assert qubo_energy(q, [1]) == pytest.approx(0.0)
-    assert qubo_energy(q, [0]) == pytest.approx(1.0)
+    assert q.energy([1]) == pytest.approx(0.0)
+    assert q.energy([0]) == pytest.approx(1.0)
     assert brute_force_solve(q) == (0.0, ("1",))
 
 
@@ -135,7 +134,7 @@ def test_ising_conversion_energy_identity():
     ising = qubo_to_ising(q)
     for _ in range(40):
         x = rng.integers(0, 2, size=q.n_vars)
-        assert ising.energy(1.0 - 2.0 * x) == pytest.approx(qubo_energy(q, x), abs=1e-9)
+        assert ising.energy(1.0 - 2.0 * x) == pytest.approx(q.energy(x), abs=1e-9)
 
 
 def test_ising_single_variable():
@@ -162,6 +161,14 @@ def test_decode_and_validate():
     viol = decode(q, "101100")
     assert isinstance(viol, OneHotViolation) and viol.vertex == 1 and viol.bits_set == 2
     assert not validate(q, "110110")
+
+
+@pytest.mark.parametrize("bits", ["10011011", "10011", ""])
+def test_validate_rejects_wrong_length(bits):
+    q = build_coloring_qubo(path_graph(3), 2)
+    for problem in (q, QuboProblem.from_json(q.to_json())):
+        with pytest.raises(ValueError, match="expected 6 bits"):
+            validate(problem, bits)
 
 
 def test_validate_without_source_uses_energy():

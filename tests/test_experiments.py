@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealab.experiments import (
     ConfigError,
@@ -46,10 +48,30 @@ def test_default_grid_is_the_ten_step_descent():
     dict(shots_per_cycle=0),
     dict(total_time=-1.0),
     dict(sizes=(0,)),
+    dict(s_grid=(0.44, 0.44)),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         tiny_config(**bad)
+
+
+@pytest.mark.parametrize("data, match", [
+    ([1, 2], "JSON object"),
+    ({"count": "3"}, "count must be int"),
+    ({"n_vertices": 4.0}, "n_vertices must be int"),
+    ({"p": True}, "p must be float"),
+    ({"k": "2"}, "k must be int or null"),
+    ({"s_grid": 0.5}, "s_grid must be a list of float"),
+    ({"sizes": [3, 4.5]}, "sizes must be a list of int"),
+])
+def test_config_from_dict_rejects_wrong_types(data, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_from_dict_overrides_win():
+    cfg = ExperimentConfig.from_dict({"count": 0, "seed": 4}, count=2)
+    assert (cfg.count, cfg.seed) == (2, 4)
 
 
 def test_config_rejects_unknown_fields():
@@ -60,6 +82,41 @@ def test_config_rejects_unknown_fields():
 def test_config_roundtrips_through_dict():
     cfg = tiny_config()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+configs = st.builds(
+    ExperimentConfig,
+    n_vertices=st.integers(1, 50),
+    p=st.floats(0.0, 1.0),
+    count=st.integers(1, 100),
+    seed=st.integers(0, 2**32),
+    k=st.none() | st.integers(1, 10),
+    backend=st.sampled_from(["statevector", "svmc"]),
+    schedule=st.sampled_from(["linear", "steep", "my schedule.csv"]),
+    s_grid=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=6, unique=True),
+    forward_shots=st.integers(1, 10_000),
+    ra_samples=st.integers(0, 1000),
+    total_time=positive,
+    forward_time_scale=st.none() | positive,
+    ra_time_scale=st.none() | positive,
+    shots_per_cycle=st.integers(1, 10),
+    policy=st.sampled_from(["feed-last", "keep-best"]),
+    svmc_sweeps=st.integers(1, 5000),
+    svmc_beta=positive,
+    sizes=st.lists(st.integers(1, 30), max_size=4),
+    out_dir=st.text(min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs)
+def test_config_dict_and_json_roundtrip(cfg):
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    through_json = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert through_json == cfg
+    assert config_hash(through_json) == config_hash(cfg)
 
 
 def test_config_hash_ignores_output_location_only():

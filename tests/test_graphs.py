@@ -36,7 +36,7 @@ def test_rejects_out_of_range():
 def test_degrees_and_neighbors():
     g = path_graph(4)
     assert g.degrees() == [1, 2, 2, 1]
-    assert g.neighbors(1) == [0, 2]
+    assert g.edges == ((0, 1), (1, 2), (2, 3))
 
 
 def test_er_p_zero_and_one():
