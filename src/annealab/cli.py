@@ -145,9 +145,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    summary = sweep_reverse_distance(config)
-    solved = sum(1 for r in summary.rows if r.total_valid > 0)
-    print(f"sweep: {len(summary.rows)} (problem, s') rows, {solved} with valid samples; "
+    rows = sweep_reverse_distance(config)
+    solved = sum(1 for r in rows if r["total_valid"] > 0)
+    print(f"sweep: {len(rows)} (problem, s') rows, {solved} with valid samples; "
           f"config {config_hash(config)} -> {config.out_dir}")
     return 0
 

@@ -6,10 +6,14 @@ master seed through fixed stage tags:
     graph of problem i          [master, 0, i]        (scaling: [master, 0, n, i])
     forward stage of problem i  [master, 1, i]
     initial selection           [master, 2, i]
-    RA chain at grid index j    [master, 3, i, j]     (cycle c appends 2, c)
+    RA chain at grid index j    [master, 3, i, j]     (scaling: [master, 3, n, i];
+                                                       cycle c appends 2, c)
     random baseline initial     [master, 4, i]
 
-The baseline arms share the chain seeds, so assisted vs random comparisons
+Every protocol is a plan per problem: one forward stage, then a list of
+collect-mode chains (series, s', chain seed). One driver runs the plans and
+writes the records; each protocol only aggregates them into its CSV. The
+baseline arms share the chain seeds, so assisted vs random comparisons
 differ only in the starting bitstring. Raw records are JSONL; aggregates
 are CSV recomputable from the raw dumps; a manifest carrying the config and
 its hash makes any run replayable bit for bit.
@@ -29,11 +33,12 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__ as _pkg_version
-from .coloring_qubo import QuboProblem, build_coloring_qubo, validate
+from .coloring_qubo import QuboProblem, build_coloring_qubo
 from .graphs import generate_er, greedy_color_largest_first
 from .heuristic import (
     FEED_LAST,
     POLICIES,
+    RunRecord,
     StatevectorBackend,
     SvmcBackend,
     _forward_summary,
@@ -103,6 +108,7 @@ class ExperimentConfig:
             ("ra_time_scale", positive(self.ra_time_scale), "positive"),
             ("shots_per_cycle", self.shots_per_cycle >= 1, ">= 1"),
             ("sizes", all(n >= 1 for n in self.sizes), ">= 1"),
+            ("sizes", len(set(self.sizes)) == len(self.sizes), "free of repeated values"),
             ("s_grid", self.s_grid and all(0.0 < s < 1.0 for s in self.s_grid),
              "non-empty with values in (0, 1)"),
             ("s_grid", len(set(self.s_grid)) == len(self.s_grid), "free of repeated values"),
@@ -209,26 +215,64 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
-def _setup(config: ExperimentConfig, i: int, size: int | None = None):
-    """Problem i, its forward samples, the initial bits selected from them,
-    and `chain(initial, chain_seed, s_prime=, forward=) -> RunRecord`, which
-    runs one collect-mode chain on the problem."""
+class ChainResult(typing.NamedTuple):
+    index: int  # problem index
+    forward_valid: list[str]  # valid bitstrings among the problem's forward samples
+    series: str | None
+    record: RunRecord
+
+
+def _run_problem(config: ExperimentConfig, job: tuple[int, int | None, list[tuple]]):
+    """Forward-anneal problem i (with `size` vertices if not None) once, then
+    run the collect-mode chain of every (series, s', chain seed, random seed)
+    entry of its plan; returns a ChainResult per chain. A chain with a random
+    seed starts from random bits drawn with it and records no forward
+    summary; the others start from the bitstring selected from the forward
+    samples."""
+    i, size, plan = job
     problem = instance(config, i, size=size)
     backend, substituted = resolve_backend(problem, make_backend(config))
     sched = resolve_schedule(config.schedule)
-    fts = config.forward_time_scale
-    kwargs = {} if fts is None else {"time_scale": fts}
     fwd = backend.forward(
         problem, sched, total_time=config.total_time, shots=config.forward_shots,
-        seed=[config.seed, 1, i], **kwargs,
+        seed=[config.seed, 1, i], time_scale=config.forward_time_scale,
     )
-    chain = partial(
+    selected, summary = select_initial(fwd, [config.seed, 2, i]), _forward_summary(fwd)
+    forward_valid = [s.bits for s in fwd if s.valid]
+    run = partial(
         _run_record, problem, backend, substituted, sched, n_cycles=config.ra_samples,
         total_time=config.total_time, time_scale=config.ra_time_scale,
         shots_per_cycle=config.shots_per_cycle, policy=config.policy,
         halt_on_valid=False, config_hash=config_hash(config),
     )
-    return problem, fwd, select_initial(fwd, [config.seed, 2, i]), chain
+    results = []
+    for series, s_prime, chain_seed, random_seed in plan:
+        if random_seed is None:
+            initial, forward = selected, summary
+        else:
+            initial, forward = random_bits(problem.n_vars, random_seed), None
+        rec = run(initial, chain_seed, s_prime=s_prime, forward=forward,
+                  seeds={"master": config.seed, "chain": list(chain_seed)})
+        results.append(ChainResult(i, forward_valid, series, rec))
+    return results
+
+
+def _run_protocol(config: ExperimentConfig, command: str, jobs, csv_name: str, aggregate,
+                  out_dir=None) -> list[dict]:
+    """Run every (problem index, size, plan) job, sort the chain results by
+    problem, s' and series, and write the CSV rows `aggregate` makes of them,
+    <command>_records.jsonl and manifest.json; returns the CSV rows."""
+    out = prepare_out(config.out_dir if out_dir is None else out_dir)
+    results = sorted(
+        (r for batch in _pmap(partial(_run_problem, config), jobs) for r in batch),
+        key=lambda r: (r.record.problem_id, r.record.path_info["s_prime"], r.series or ""))
+    rows = aggregate(results)
+    _write_csv(out / csv_name, rows)
+    records = f"{command}_records.jsonl"
+    _write_jsonl(out / records, (
+        {**r.record.to_dict(), **({"series": r.series} if r.series else {})} for r in results))
+    write_manifest(out, command, config.to_dict(), [csv_name, records])
+    return rows
 
 
 def _valid_counts(cycles) -> tuple[int, int]:
@@ -236,85 +280,43 @@ def _valid_counts(cycles) -> tuple[int, int]:
     return len(valid_bits), len(set(valid_bits))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    problem_index: int
-    problem_id: str
-    n_vars: int
-    k: int
-    s_prime: float
-    initial_valid: bool
-    case: str  # "AB" when the seed was valid, "CD" otherwise
-    total_valid: int
-    unique_valid: int
-    n_cycles: int
-
-    def __post_init__(self):
-        if self.unique_valid > self.total_valid:
-            raise ValueError("unique count cannot exceed total count")
-        if self.case != ("AB" if self.initial_valid else "CD"):
-            raise ValueError("case label inconsistent with seed validity")
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    rows: tuple[SweepRow, ...]
-
-    def to_csv(self, path):
-        _write_csv(path, [{**asdict(r), "s_prime": f"{r.s_prime:.10g}",
-                           "initial_valid": int(r.initial_valid)} for r in self.rows])
-
-
-def _sweep_problem(config: ExperimentConfig, i: int):
-    """Forward once, then one collect-mode chain per grid value; returns
-    (summary row, record) pairs."""
-    problem, fwd, initial, chain = _setup(config, i)
-    initial_valid = validate(problem, initial)
-    summary = _forward_summary(fwd)
-    out = []
-    for j, s_prime in enumerate(config.s_grid):
-        rec = chain(initial, (config.seed, 3, i, j), s_prime=s_prime, forward=summary)
+def _sweep_rows(results: list[ChainResult]) -> list[dict]:
+    rows = []
+    for index, forward_valid, _, rec in results:
         total, unique = _valid_counts(rec.cycles)
-        out.append((SweepRow(
-            problem_index=i, problem_id=rec.problem_id, n_vars=problem.n_vars,
-            k=problem.k, s_prime=s_prime, initial_valid=initial_valid,
-            case="AB" if initial_valid else "CD",
-            total_valid=total, unique_valid=unique, n_cycles=len(rec.cycles),
-        ), rec))
-    return out
+        rows.append({
+            "problem_index": index, "problem_id": rec.problem_id, "n_vars": rec.n_vars,
+            "k": rec.k, "s_prime": f"{rec.path_info['s_prime']:.10g}",
+            # select_initial picks a valid forward sample whenever there is one
+            "initial_valid": int(bool(forward_valid)),
+            "case": "AB" if forward_valid else "CD",  # AB: the seed was valid
+            "total_valid": total, "unique_valid": unique, "n_cycles": len(rec.cycles),
+        })
+    return rows
 
 
-def sweep_reverse_distance(config: ExperimentConfig, out_dir=None) -> SweepSummary:
+def sweep_reverse_distance(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Forward stage per problem, then chains over the reverse-distance grid.
 
     Writes sweep_summary.csv, sweep_records.jsonl and manifest.json to the
-    output directory and returns the summary.
+    output directory and returns the summary rows.
     """
-    out = prepare_out(config.out_dir if out_dir is None else out_dir)
-    results = _pmap(partial(_sweep_problem, config), range(config.count))
-    pairs = sorted((pair for batch in results for pair in batch),
-                   key=lambda pair: (pair[1].problem_id, pair[1].path_info["s_prime"]))
-    summary = SweepSummary(tuple(row for row, _ in pairs))
-    summary.to_csv(out / "sweep_summary.csv")
-    _write_jsonl(out / "sweep_records.jsonl", (rec.to_dict() for _, rec in pairs))
-    write_manifest(out, "sweep", config.to_dict(),
-                   ["sweep_summary.csv", "sweep_records.jsonl"])
-    return summary
+    jobs = [(i, None, [(None, s, (config.seed, 3, i, j), None)
+                       for j, s in enumerate(config.s_grid)]) for i in range(config.count)]
+    return _run_protocol(config, "sweep", jobs, "sweep_summary.csv", _sweep_rows, out_dir)
 
 
-def _scaling_problem(config: ExperimentConfig, job: tuple[int, int]):
-    n, i = job
-    problem, fwd, initial, chain = _setup(config, i, size=n)
-    rec = chain(initial, (config.seed, 3, n, i), s_prime=SCALING_REVERSE_DISTANCE,
-                forward=_forward_summary(fwd))
-    fwd_bits = [s.bits for s in fwd if s.valid]
-    ra_total, ra_unique = _valid_counts(rec.cycles)
-    return {
-        "forward_valid": len(fwd_bits),
-        "forward_unique": len(set(fwd_bits)),
-        "ra_valid": ra_total,
-        "ra_unique": ra_unique,
-    }, rec
+def _scaling_rows(results: list[ChainResult]) -> list[dict]:
+    groups: dict[tuple, list[dict]] = {}
+    for r in sorted(results, key=lambda r: r.record.n_vars):
+        ra_total, ra_unique = _valid_counts(r.record.cycles)
+        groups.setdefault((r.record.n_vars,), []).append({
+            "forward_valid": len(r.forward_valid),
+            "forward_unique": len(set(r.forward_valid)),
+            "ra_valid": ra_total,
+            "ra_unique": ra_unique,
+        })
+    return _averages(groups, ("n_vars",))
 
 
 def scaling_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
@@ -323,53 +325,32 @@ def scaling_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     omitted rather than zero-filled."""
     if not config.sizes:
         raise ConfigError("scaling run needs a non-empty sizes list")
-    out = prepare_out(config.out_dir if out_dir is None else out_dir)
-    jobs = [(n, i) for n in config.sizes for i in range(config.count)]
-    results = _pmap(partial(_scaling_problem, config), jobs)
-    groups: dict[tuple, list[dict]] = {}
-    for stats, rec in sorted(results, key=lambda result: result[1].n_vars):
-        groups.setdefault((rec.n_vars,), []).append(stats)
-    rows = _averages(groups, ("n_vars",))
-    _write_csv(out / "scaling.csv", rows)
-    records = sorted((rec for _, rec in results), key=lambda r: (r.problem_id, r.n_vars))
-    _write_jsonl(out / "scaling_records.jsonl", (rec.to_dict() for rec in records))
-    write_manifest(out, "scaling", config.to_dict(), ["scaling.csv", "scaling_records.jsonl"])
+    jobs = [(i, n, [(None, SCALING_REVERSE_DISTANCE, (config.seed, 3, n, i), None)])
+            for n in config.sizes for i in range(config.count)]
+    return _run_protocol(config, "scaling", jobs, "scaling.csv", _scaling_rows, out_dir)
+
+
+def _baseline_rows(s_grid, results: list[ChainResult]) -> list[dict]:
+    groups: dict[tuple, list[dict]] = {(series, s): [] for series in SERIES for s in s_grid}
+    for r in results:
+        total, unique = _valid_counts(r.record.cycles)
+        groups[(r.series, r.record.path_info["s_prime"])].append({"valid": total, "unique": unique})
+    rows = _averages(groups, ("series", "s_prime"))
+    for row in rows:
+        row["s_prime"] = f"{row['s_prime']:.10g}"
     return rows
-
-
-def _baseline_problem(config: ExperimentConfig, i: int):
-    """(series, record) for both arms at every grid value."""
-    problem, fwd, best_initial, chain = _setup(config, i)
-    rand_initial = random_bits(problem.n_vars, [config.seed, 4, i])
-    summary = _forward_summary(fwd)
-    return [
-        (series, chain(initial, (config.seed, 3, i, j), s_prime=s_prime, forward=fsum))
-        for j, s_prime in enumerate(config.s_grid)
-        for series, initial, fsum in zip(SERIES, (best_initial, rand_initial), (summary, None))
-    ]
 
 
 def baseline_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Paired comparison: chains seeded by the selected forward bitstring vs
     a random bitstring, sharing per-chain seed streams. Emits per-s' averages
     for both series."""
-    out = prepare_out(config.out_dir if out_dir is None else out_dir)
-    results = _pmap(partial(_baseline_problem, config), range(config.count))
-    flat = sorted((item for batch in results for item in batch), key=lambda item: (
-        item[1].problem_id, item[1].path_info["s_prime"], item[0]))
-    groups: dict[tuple, list[dict]] = {(series, s): [] for series in SERIES for s in config.s_grid}
-    for series, rec in flat:
-        total, unique = _valid_counts(rec.cycles)
-        groups[(series, rec.path_info["s_prime"])].append({"valid": total, "unique": unique})
-    rows = _averages(groups, ("series", "s_prime"))
-    for row in rows:
-        row["s_prime"] = f"{row['s_prime']:.10g}"
-    _write_csv(out / "baseline.csv", rows)
-    _write_jsonl(out / "baseline_records.jsonl",
-                 ({**rec.to_dict(), "series": series} for series, rec in flat))
-    write_manifest(out, "baseline", config.to_dict(),
-                   ["baseline.csv", "baseline_records.jsonl"])
-    return rows
+    jobs = [(i, None, [(series, s, (config.seed, 3, i, j), random_seed)
+                       for j, s in enumerate(config.s_grid)
+                       for series, random_seed in zip(SERIES, (None, [config.seed, 4, i]))])
+            for i in range(config.count)]
+    return _run_protocol(config, "baseline", jobs, "baseline.csv",
+                         partial(_baseline_rows, config.s_grid), out_dir)
 
 
 def prepare_out(path) -> Path:

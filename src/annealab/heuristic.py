@@ -53,17 +53,18 @@ class StatevectorBackend:
         return self._diag_cache[problem]
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
-                shots=1000, seed=0, time_scale=dynamics.SLOW_TIME_SCALE):
+                shots=1000, seed=0, time_scale=None):
+        """time_scale None means dynamics.SLOW_TIME_SCALE."""
         return dynamics.forward_anneal(
-            self._diag(problem), sched, total_time=total_time, shots=shots,
-            seed=seed, time_scale=time_scale,
+            self._diag(problem), sched, total_time=total_time, shots=shots, seed=seed,
+            time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
         )
 
-    def reverse(self, problem, sched, path, initial, shots=1, seed=0,
-                time_scale=dynamics.REVERSE_TIME_SCALE):
+    def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
+        """time_scale None means dynamics.REVERSE_TIME_SCALE."""
         return dynamics.reverse_anneal(
             self._diag(problem), sched, path, initial, shots=shots, seed=seed,
-            time_scale=time_scale,
+            time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
         )
 
 
@@ -203,11 +204,6 @@ def _cycle_seed(seed, c: int):
     return np.random.SeedSequence([*_as_entropy(seed), 2, c])
 
 
-def _seed_json(seed):
-    t = _as_entropy(seed)
-    return t[0] if len(t) == 1 else list(t)
-
-
 def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
               shots_per_cycle: int = 1, policy: str = FEED_LAST,
               time_scale=None, halt_on_valid: bool = True):
@@ -224,13 +220,13 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
-    kwargs = {} if time_scale is None else {"time_scale": time_scale}
     cycles: list[CycleRecord] = []
     current = initial
     best = (problem.energy(initial), initial)
     for c in range(1, n_cycles + 1):
         outs = backend.reverse(problem, sched, path, current,
-                               shots=shots_per_cycle, seed=_cycle_seed(seed, c), **kwargs)
+                               shots=shots_per_cycle, seed=_cycle_seed(seed, c),
+                               time_scale=time_scale)
         chosen = min(outs, key=lambda s: (s.energy, s.bits))
         cycles.append(CycleRecord(current, chosen.bits, chosen.energy, chosen.valid))
         if chosen.valid and halt_on_valid:
@@ -241,27 +237,15 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
     return tuple(cycles)
 
 
-def _check_budget(s_prime: float, max_cycles: int, forward_shots: int = 1) -> None:
-    if not 0.0 < s_prime < 1.0:
-        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
-    if forward_shots < 1:
-        raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
-    if max_cycles < 0:
-        raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
-
-
 def _run_record(problem, backend, substituted: bool, sched: Schedule, initial, chain_seed,
                 *, n_cycles: int, s_prime: float, total_time: float, time_scale,
                 shots_per_cycle: int, policy: str, halt_on_valid: bool,
-                forward: dict | None, config_hash: str | None, seeds=None) -> RunRecord:
+                forward: dict | None, config_hash: str | None, seeds: dict) -> RunRecord:
     """Run one reverse-anneal chain from `initial` and assemble its record.
 
     `initial` None means the forward stage already found a valid sample:
-    no chain runs and the outcome is solved-by-forward. `seeds` defaults to
-    the batch protocols' {"master", "chain"} form of a (master, ...) chain seed.
+    no chain runs and the outcome is solved-by-forward.
     """
-    if seeds is None:
-        seeds = {"master": chain_seed[0], "chain": list(chain_seed)}
     cycles: tuple[CycleRecord, ...] = ()
     if initial is None:
         outcome = OUTCOME_FORWARD
@@ -300,20 +284,24 @@ def assisted_reverse_anneal(
     config_hash: str | None = None,
 ) -> RunRecord:
     """Forward stage, early exit on any valid sample, else iterated RA."""
-    _check_budget(s_prime, max_cycles, forward_shots)
+    if not 0.0 < s_prime < 1.0:
+        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
+    if forward_shots < 1:
+        raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
+    if max_cycles < 0:
+        raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
     backend, substituted = resolve_backend(problem, backend)
     entropy = _as_entropy(seed)
-    fwd_kwargs = {} if forward_time_scale is None else {"time_scale": forward_time_scale}
-    fwd = backend.forward(problem, sched, total_time=total_time,
-                          shots=forward_shots, seed=[*entropy, 0], **fwd_kwargs)
+    fwd = backend.forward(problem, sched, total_time=total_time, shots=forward_shots,
+                          seed=[*entropy, 0], time_scale=forward_time_scale)
     initial = None if any(s.valid for s in fwd) else select_initial(fwd, [*entropy, 1])
     return _run_record(
         problem, backend, substituted, sched, initial, entropy, n_cycles=max_cycles,
         s_prime=s_prime, total_time=total_time, time_scale=ra_time_scale,
         shots_per_cycle=shots_per_cycle, policy=policy, halt_on_valid=True,
         forward=_forward_summary(fwd),
-        seeds={"master": _seed_json(seed), "forward": [*entropy, 0],
-               "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
+        seeds={"master": entropy[0] if len(entropy) == 1 else list(entropy),
+               "forward": [*entropy, 0], "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
         config_hash=config_hash,
     )
 
@@ -321,31 +309,3 @@ def assisted_reverse_anneal(
 def random_bits(n_vars: int, seed) -> str:
     rng = np.random.default_rng(seed)
     return "".join("1" if b else "0" for b in rng.integers(0, 2, n_vars))
-
-
-def random_initial_baseline(
-    problem: QuboProblem,
-    backend,
-    sched: Schedule,
-    s_prime: float,
-    max_cycles: int = 50,
-    seed=0,
-    total_time: float = dynamics.DEFAULT_TOTAL_TIME,
-    ra_time_scale=None,
-    shots_per_cycle: int = 1,
-    policy: str = FEED_LAST,
-    config_hash: str | None = None,
-) -> RunRecord:
-    """Same loop as the assisted run but seeded with a random bitstring and
-    no forward stage; shares the per-cycle seed derivation for pairing."""
-    _check_budget(s_prime, max_cycles)
-    backend, substituted = resolve_backend(problem, backend)
-    entropy = _as_entropy(seed)
-    return _run_record(
-        problem, backend, substituted, sched, random_bits(problem.n_vars, [*entropy, 1]),
-        entropy, n_cycles=max_cycles, s_prime=s_prime, total_time=total_time,
-        time_scale=ra_time_scale, shots_per_cycle=shots_per_cycle, policy=policy,
-        halt_on_valid=True, forward=None,
-        seeds={"master": _seed_json(seed), "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
-        config_hash=config_hash,
-    )

@@ -264,7 +264,7 @@ def test_criterion_10_svmc_substitutes_at_scale(tmp_path):
         n_vertices=15, p=0.5, count=1, seed=55, backend="svmc", schedule="steep",
         s_grid=(0.44, 0.72), forward_shots=5, ra_samples=2, svmc_sweeps=100,
         out_dir=str(tmp_path / "big"))
-    summary = sweep_reverse_distance(config, tmp_path / "big")
+    rows = sweep_reverse_distance(config, tmp_path / "big")
     big_recs = [json.loads(line) for line in
                 (tmp_path / "big" / "sweep_records.jsonl").read_text().splitlines()]
 
@@ -282,7 +282,7 @@ def test_criterion_10_svmc_substitutes_at_scale(tmp_path):
     backend = SvmcBackend(sweeps_per_waypoint=500, beta=10.0)
     shots = backend.forward(q, resolve_schedule("linear"), shots=100, seed=11)
     n_valid = sum(s.valid for s in shots)
-    report(10, schema_ok and n_vars_ok and len(summary.rows) == 2 and n_valid >= 50,
+    report(10, schema_ok and n_vars_ok and len(rows) == 2 and n_valid >= 50,
            f"{big_recs[0]['n_vars']}-variable sweep matches small-run record schema; "
            f"planar-rotor forward validity {n_valid}/100")
 

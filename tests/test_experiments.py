@@ -49,6 +49,7 @@ def test_default_grid_is_the_ten_step_descent():
     dict(total_time=-1.0),
     dict(sizes=(0,)),
     dict(s_grid=(0.44, 0.44)),
+    dict(sizes=(3, 3)),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
@@ -105,7 +106,7 @@ configs = st.builds(
     policy=st.sampled_from(["feed-last", "keep-best"]),
     svmc_sweeps=st.integers(1, 5000),
     svmc_beta=positive,
-    sizes=st.lists(st.integers(1, 30), max_size=4),
+    sizes=st.lists(st.integers(1, 30), max_size=4, unique=True),
     out_dir=st.text(min_size=1, max_size=12),
 )
 
@@ -136,16 +137,16 @@ def test_instances_are_a_pure_function_of_config():
 
 def test_sweep_outputs_and_structure(tmp_path):
     cfg = tiny_config()
-    summary = sweep_reverse_distance(cfg, tmp_path)
-    assert len(summary.rows) == cfg.count * len(cfg.s_grid)
-    for r in summary.rows:
-        assert r.unique_valid <= r.total_valid <= r.n_cycles == cfg.ra_samples
-        assert r.case == ("AB" if r.initial_valid else "CD")
+    rows = sweep_reverse_distance(cfg, tmp_path)
+    assert len(rows) == cfg.count * len(cfg.s_grid)
+    for r in rows:
+        assert r["unique_valid"] <= r["total_valid"] <= r["n_cycles"] == cfg.ra_samples
+        assert r["case"] == ("AB" if r["initial_valid"] else "CD")
     for name in ("sweep_summary.csv", "sweep_records.jsonl", "manifest.json"):
         assert (tmp_path / name).exists()
     records = [json.loads(line) for line in
                (tmp_path / "sweep_records.jsonl").read_text().splitlines()]
-    assert len(records) == len(summary.rows)
+    assert len(records) == len(rows)
     h = config_hash(cfg)
     for rec in records:
         assert rec["config_hash"] == h
@@ -176,13 +177,19 @@ def test_sweep_reruns_bit_exactly(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_parallel_workers_match_serial(tmp_path, monkeypatch):
-    cfg = tiny_config()
+@pytest.mark.parametrize("protocol, outputs", [
+    (sweep_reverse_distance, ("sweep_records.jsonl", "sweep_summary.csv")),
+    (scaling_run, ("scaling_records.jsonl", "scaling.csv")),
+    (baseline_run, ("baseline_records.jsonl", "baseline.csv")),
+], ids=["sweep", "scaling", "baseline"])
+def test_parallel_workers_match_serial(tmp_path, monkeypatch, protocol, outputs):
+    cfg = tiny_config(sizes=(3, 4))
     a, b = tmp_path / "serial", tmp_path / "pool"
-    sweep_reverse_distance(cfg, a)
+    protocol(cfg, a)
     monkeypatch.setenv("ANNEALAB_WORKERS", "2")
-    sweep_reverse_distance(cfg, b)
-    assert (a / "sweep_records.jsonl").read_bytes() == (b / "sweep_records.jsonl").read_bytes()
+    protocol(cfg, b)
+    for name in outputs:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_scaling_groups_by_qubit_count_and_skips_empty(tmp_path):

@@ -12,6 +12,7 @@ from annealab.coloring_qubo import (
     index_to_bits,
     validate,
 )
+from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
 from annealab.graphs import complete_graph, path_graph
 from annealab.heuristic import (
     FEED_LAST,
@@ -26,7 +27,6 @@ from annealab.heuristic import (
     SvmcBackend,
     assisted_reverse_anneal,
     problem_id,
-    random_initial_baseline,
     resolve_backend,
     run_chain,
     select_initial,
@@ -187,6 +187,17 @@ def test_oversize_problem_falls_back_to_rotor_backend():
     assert rec.backend_substituted
 
 
+def test_statevector_time_scale_none_means_the_defaults():
+    q = build_coloring_qubo(path_graph(2), 2)
+    backend, sched = StatevectorBackend(), steep_schedule()
+    assert backend.forward(q, sched, shots=20, seed=3, time_scale=None) == \
+        backend.forward(q, sched, shots=20, seed=3, time_scale=SLOW_TIME_SCALE)
+    path = make_reverse_path(0.5, 100.0)
+    assert backend.reverse(q, sched, path, "0110", shots=20, seed=4, time_scale=None) == \
+        backend.reverse(q, sched, path, "0110", shots=20, seed=4,
+                        time_scale=REVERSE_TIME_SCALE)
+
+
 def test_backend_validity_flags_match_oracle():
     out = SvmcBackend(sweeps_per_waypoint=50).forward(
         P5, linear_schedule(), shots=10, seed=3
@@ -207,17 +218,6 @@ def test_svmc_backend_runs_match_statevector_schema():
             forward_shots=4, max_cycles=0, seed=9,
         ).to_dict()
     )
-
-
-def test_baseline_marks_forward_absent_and_is_deterministic():
-    backend = SvmcBackend(sweeps_per_waypoint=30)
-    a = random_initial_baseline(P5, backend, steep_schedule(), s_prime=0.44,
-                                max_cycles=2, seed=7)
-    b = random_initial_baseline(P5, backend, steep_schedule(), s_prime=0.44,
-                                max_cycles=2, seed=7)
-    assert a.forward is None
-    assert len(a.initial_bits) == 10
-    assert a.to_dict() == b.to_dict()
 
 
 def test_chain_integrity_in_real_records():
