@@ -19,12 +19,11 @@ from .coloring_qubo import (
 )
 from .dynamics import (
     QuantumState,
+    anneal,
     basis_state,
     driver_ground,
     energy_expectation,
     evolve,
-    forward_anneal,
-    reverse_anneal,
     sample,
 )
 from .graphs import (
@@ -48,7 +47,6 @@ from .schedules import (
     AnnealPath,
     Schedule,
     linear_schedule,
-    load_schedule,
     make_forward_path,
     make_reverse_path,
     resolve_schedule,
@@ -63,7 +61,7 @@ from .spectrum import (
     min_gap,
     spectrum_sweep,
 )
-from .svmc import RotorConfiguration, svmc_run
+from .svmc import svmc_run
 
 __all__ = [
     "AnnealPath",
@@ -74,7 +72,6 @@ __all__ = [
     "ProblemDiagonal",
     "QuantumState",
     "QuboProblem",
-    "RotorConfiguration",
     "RunRecord",
     "Sample",
     "Schedule",
@@ -82,6 +79,7 @@ __all__ = [
     "StatevectorBackend",
     "SvmcBackend",
     "__version__",
+    "anneal",
     "assisted_reverse_anneal",
     "basis_state",
     "bits_to_index",
@@ -94,13 +92,11 @@ __all__ = [
     "driver_ground",
     "energy_expectation",
     "evolve",
-    "forward_anneal",
     "generate_er",
     "greedy_color_largest_first",
     "index_to_bits",
     "is_proper_coloring",
     "linear_schedule",
-    "load_schedule",
     "lowest_eigenvalues",
     "make_forward_path",
     "make_reverse_path",
@@ -108,7 +104,6 @@ __all__ = [
     "path_graph",
     "qubo_to_ising",
     "resolve_schedule",
-    "reverse_anneal",
     "reverse_distance_grid",
     "sample",
     "select_initial",

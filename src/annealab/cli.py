@@ -69,9 +69,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def cmd_generate(args) -> int:
+    params = dict(n_vertices=args.n_vertices, p=args.p, count=args.count, seed=args.seed)
+    ExperimentConfig(**params)  # the config's checks, before anything is written
     out = prepare_out(args.out)
-    params = dict(n_vertices=args.n_vertices, p=args.p, count=args.count,
-                  seed=args.seed, out=str(out))
+    params["out"] = str(out)
     names = []
     rows = []
     for i in range(args.count):

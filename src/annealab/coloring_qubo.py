@@ -17,7 +17,7 @@ endian) of a basis-state index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -50,13 +50,11 @@ class Sample:
     energy: float
     valid: bool
 
-    def to_json(self) -> str:
-        return json.dumps({"bits": self.bits, "energy": self.energy, "valid": self.valid})
-
     @classmethod
-    def from_json(cls, text: str) -> "Sample":
-        obj = json.loads(text)
-        return cls(bits=obj["bits"], energy=obj["energy"], valid=obj["valid"])
+    def scored(cls, bits: str, energy: float) -> "Sample":
+        """The sample of `bits` at `energy`, valid iff the energy is zero
+        within VALID_ENERGY_TOL: the one validity rule."""
+        return cls(bits, energy, abs(energy) <= VALID_ENERGY_TOL)
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ def validate(q: QuboProblem, bits) -> bool:
     construction) when the QUBO was loaded without its source graph.
     """
     if q.source is None:
-        return abs(q.energy(bits)) <= VALID_ENERGY_TOL
+        return Sample.scored(bits, q.energy(bits)).valid
     coloring = decode(q, bits)
     if isinstance(coloring, OneHotViolation):
         return False

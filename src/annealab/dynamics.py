@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .coloring_qubo import VALID_ENERGY_TOL, Sample, bits_to_index, index_to_bits
-from .schedules import AnnealPath, Schedule, make_forward_path
+from .coloring_qubo import Sample, bits_to_index, index_to_bits
+from .schedules import AnnealPath, Schedule
 from .spectrum import ProblemDiagonal, apply_hamiltonian, driver_apply
 
 DRIFT_BOUND = 1e-6
@@ -168,41 +168,21 @@ def sample(state: QuantumState, shots: int, seed) -> list[str]:
     return [index_to_bits(int(i), state.n_qubits) for i in idx]
 
 
-def _samples_from_bits(diag: ProblemDiagonal, bit_list: list[str]) -> list[Sample]:
-    out = []
-    for bits in bit_list:
-        e = float(diag.values[bits_to_index(bits)])
-        out.append(Sample(bits=bits, energy=e, valid=abs(e) <= VALID_ENERGY_TOL))
-    return out
-
-
-def forward_anneal(
-    diag: ProblemDiagonal,
-    sched: Schedule,
-    total_time: float = DEFAULT_TOTAL_TIME,
-    shots: int = 1000,
-    seed=0,
-    accuracy: float = DEFAULT_ACCURACY,
-    time_scale: float = SLOW_TIME_SCALE,
-) -> list[Sample]:
-    """Anneal the driver ground state to s=1 and measure `shots` times."""
-    path = make_forward_path(total_time)
-    final = evolve(driver_ground(diag.n_qubits), path, sched, diag, accuracy, time_scale)
-    return _samples_from_bits(diag, sample(final, shots, seed))
-
-
-def reverse_anneal(
+def anneal(
     diag: ProblemDiagonal,
     sched: Schedule,
     path: AnnealPath,
-    initial,
+    initial=None,
     shots: int = 1,
     seed=0,
     accuracy: float = DEFAULT_ACCURACY,
-    time_scale: float = REVERSE_TIME_SCALE,
+    time_scale: float = 1.0,
 ) -> list[Sample]:
-    """Evolve a classical bitstring along a reverse path and measure."""
-    if path.kind != "reverse":
-        raise ValueError(f"reverse_anneal needs a reverse path, got kind={path.kind!r}")
-    final = evolve(basis_state(initial), path, sched, diag, accuracy, time_scale)
-    return _samples_from_bits(diag, sample(final, shots, seed))
+    """Evolve along the path and measure `shots` times. The start is the
+    driver ground state when `initial` is None, else the basis state of the
+    bitstring `initial` (see AnnealPath.check_start)."""
+    path.check_start(initial, diag.n_qubits)
+    start = driver_ground(diag.n_qubits) if initial is None else basis_state(initial)
+    final = evolve(start, path, sched, diag, accuracy, time_scale)
+    return [Sample.scored(bits, float(diag.values[bits_to_index(bits)]))
+            for bits in sample(final, shots, seed)]

@@ -13,6 +13,10 @@ from pathlib import Path
 import numpy as np
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with edges stored once in (min, max) order."""
@@ -54,7 +58,15 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         obj = json.loads(text)
-        return cls(n_vertices=obj["n"], edges=tuple((u, v) for u, v in obj["edges"]))
+        if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
+            raise ValueError("graph JSON must be an object with keys 'n' and 'edges'")
+        n, edges = obj["n"], obj["edges"]
+        if not _is_int(n):
+            raise ValueError(f"graph 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+            raise ValueError("graph 'edges' must be a list of [u, v] integer pairs")
+        return cls(n_vertices=n, edges=tuple((u, v) for u, v in edges))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")

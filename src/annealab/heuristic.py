@@ -26,10 +26,6 @@ KEEP_BEST = "keep-best"
 POLICIES = (FEED_LAST, KEEP_BEST)
 
 
-class BackendCapabilityError(ValueError):
-    """Problem does not fit the backend."""
-
-
 def problem_id(problem: QuboProblem) -> str:
     return hashlib.sha256(problem.to_json().encode()).hexdigest()[:12]
 
@@ -44,10 +40,7 @@ class StatevectorBackend:
         self._diag_cache: dict[QuboProblem, object] = {}
 
     def _diag(self, problem: QuboProblem):
-        if problem.n_vars > self.max_qubits:
-            raise BackendCapabilityError(
-                f"{problem.n_vars} qubits exceeds the statevector cap of {self.max_qubits}"
-            )
+        # build_problem_diagonal refuses problems past max_qubits
         if problem not in self._diag_cache:
             self._diag_cache[problem] = build_problem_diagonal(problem)
         return self._diag_cache[problem]
@@ -55,14 +48,14 @@ class StatevectorBackend:
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
                 shots=1000, seed=0, time_scale=None):
         """time_scale None means dynamics.SLOW_TIME_SCALE."""
-        return dynamics.forward_anneal(
-            self._diag(problem), sched, total_time=total_time, shots=shots, seed=seed,
+        return dynamics.anneal(
+            self._diag(problem), sched, make_forward_path(total_time), shots=shots, seed=seed,
             time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
         )
 
     def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
         """time_scale None means dynamics.REVERSE_TIME_SCALE."""
-        return dynamics.reverse_anneal(
+        return dynamics.anneal(
             self._diag(problem), sched, path, initial, shots=shots, seed=seed,
             time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
         )

@@ -100,11 +100,6 @@ def steep_schedule(num: int = 201, power: int = 4) -> Schedule:
     return Schedule("steep", s, s, (1.0 - s) ** power)
 
 
-def load_schedule(path: str | Path) -> Schedule:
-    """Parse and validate a schedule CSV (header 's,a,b')."""
-    return Schedule.from_csv(path)
-
-
 def load_bundled(name: str) -> Schedule:
     """Load one of the schedules shipped with the package ('linear' or 'steep')."""
     ref = resources.files("annealab.data").joinpath(f"{name}.csv")
@@ -122,7 +117,7 @@ def resolve_schedule(spec: str) -> Schedule:
     p = Path(spec)
     if not p.exists():
         raise ScheduleError(f"schedule file not found: {spec}")
-    return load_schedule(p)
+    return Schedule.from_csv(p)
 
 
 def reverse_distance_grid() -> list[float]:
@@ -180,6 +175,17 @@ class AnnealPath:
                 float(self.svals[i]),
                 float(self.svals[i + 1]),
             )
+
+    def check_start(self, initial, n: int) -> None:
+        """The one start rule for both samplers: a reverse path starts from
+        the bitstring `initial`, a forward path from the driver ground state
+        (initial None), and `initial` has one bit per variable."""
+        if self.kind == "reverse" and initial is None:
+            raise ValueError("reverse path needs an initial bitstring")
+        if self.kind == "forward" and initial is not None:
+            raise ValueError("forward path takes no initial bitstring")
+        if initial is not None and len(initial) != n:
+            raise ValueError(f"initial has {len(initial)} bits, problem has {n} variables")
 
     def reversed(self) -> "AnnealPath":
         """Time-mirrored path covering the same s values backwards."""

@@ -14,48 +14,14 @@ anneal path. Bits are read out by the sign of cos(theta).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring_qubo import VALID_ENERGY_TOL, IsingProblem, Sample
+from .coloring_qubo import IsingProblem, Sample
 from .schedules import AnnealPath, Schedule
 
 DEFAULT_BETA = 10.0
 DEFAULT_SWEEPS_PER_WAYPOINT = 1000
-
-
-@dataclass(frozen=True)
-class RotorConfiguration:
-    """Per-spin angles; projection to bits is the sign of the z-component."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=np.float64)
-        if ang.ndim != 1 or ang.size == 0:
-            raise ValueError("angles must be a non-empty 1-d array")
-        if np.any(ang < -1e-12) or np.any(ang > math.pi + 1e-12):
-            raise ValueError("angles must lie in [0, pi]")
-        object.__setattr__(self, "angles", np.clip(ang, 0.0, math.pi))
-
-    def bits(self) -> str:
-        # bit = 0 iff cos(theta) >= 0
-        return "".join("0" if c >= 0.0 else "1" for c in np.cos(self.angles))
-
-
-def _initial_angles(ising: IsingProblem, path: AnnealPath, initial) -> np.ndarray:
-    if path.kind == "reverse":
-        if initial is None:
-            raise ValueError("reverse path needs an initial bitstring")
-    elif path.kind == "forward":
-        if initial is not None:
-            raise ValueError("forward path takes no initial bitstring")
-    if initial is None:
-        return np.full(ising.n_spins, math.pi / 2.0)
-    if len(initial) != ising.n_spins:
-        raise ValueError(f"initial has {len(initial)} bits, problem has {ising.n_spins} spins")
-    return np.array([0.0 if ch == "0" else math.pi for ch in initial])
 
 
 def svmc_run(
@@ -78,8 +44,12 @@ def svmc_run(
         raise ValueError(f"need sweeps_per_waypoint >= 1, got {sweeps_per_waypoint}")
     if beta <= 0:
         raise ValueError(f"need beta > 0, got {beta}")
-    theta = _initial_angles(ising, path, initial)
     n = ising.n_spins
+    path.check_start(initial, n)
+    if initial is None:
+        theta = np.full(n, math.pi / 2.0)
+    else:
+        theta = np.array([0.0 if ch == "0" else math.pi for ch in initial])
     rng = np.random.default_rng(seed)
 
     h = np.asarray(ising.h, dtype=np.float64)
@@ -92,7 +62,7 @@ def svmc_run(
         nbr_val[j].append(v)
     adj = [(np.array(ix, dtype=np.intp), np.array(vx)) for ix, vx in zip(nbr_idx, nbr_val)]
 
-    m = np.cos(theta)
+    m = np.cos(theta)  # z-components; their signs are the readout
     sin_t = np.sin(theta)
     z = h.copy()  # local fields h_i + sum_j J_ij m_j, kept incrementally
     for i, (ix, vx) in enumerate(adj):
@@ -117,15 +87,13 @@ def svmc_run(
             d_e = a_s * z[i] * dm - b_s * (sin_p[i] - sin_t[i])
             if d_e > 0.0 and accept_u[i] >= math.exp(-beta * d_e):
                 continue
-            theta[i] = prop[i]
             m[i] = cos_p[i]
             sin_t[i] = sin_p[i]
             ix, vx = adj[i]
             if ix.size:
                 z[ix] += vx * dm
 
-    config = RotorConfiguration(theta)
-    bits = config.bits()
-    spins = np.where(np.cos(config.angles) >= 0.0, 1.0, -1.0)
-    energy = float(ising.energy(spins))
-    return Sample(bits=bits, energy=energy, valid=abs(energy) <= VALID_ENERGY_TOL)
+    # bit 0 (spin +1) iff cos(theta) >= 0
+    spins = np.where(m >= 0.0, 1.0, -1.0)
+    bits = "".join("0" if sp > 0 else "1" for sp in spins)
+    return Sample.scored(bits, float(ising.energy(spins)))

@@ -23,10 +23,10 @@ from annealab.coloring_qubo import (
 )
 from annealab.dynamics import (
     QuantumState,
+    anneal,
     driver_ground,
     energy_expectation,
     evolve,
-    reverse_anneal,
     sample,
 )
 from annealab.experiments import ExperimentConfig, baseline_run, sweep_reverse_distance
@@ -206,8 +206,8 @@ def test_criterion_07_shallow_reverse_returns_seed():
     q = build_coloring_qubo(P5, 2)
     diag = build_problem_diagonal(q)
     seed_bits = "1001100110"
-    samples = reverse_anneal(diag, sched, make_reverse_path(0.93, 100.0),
-                             seed_bits, shots=1000, seed=7)
+    samples = anneal(diag, sched, make_reverse_path(0.93, 100.0),
+                     seed_bits, shots=1000, seed=7)
     returned = sum(s.bits == seed_bits for s in samples)
     unique_valid = {s.bits for s in samples if s.valid}
     report(7, returned >= 990 and len(unique_valid) == 1,

@@ -74,6 +74,31 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert g == generate_er(4, 0.5, [7, 0, 1])
 
 
+@pytest.mark.parametrize("count", [-1, 0])
+def test_generate_rejects_bad_count_before_writing(tmp_path, capsys, count):
+    out = tmp_path / "gen"
+    code, stdout, err = run(["generate", "--count", count, "--out", out], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: count must be >= 1, got {count}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, expected", [
+    ('{"edges": [[0, 1]]}', "keys 'n' and 'edges'"),
+    ('{"n": "3", "edges": []}', "'n' must be an integer"),
+    ("[1, 2]", "keys 'n' and 'edges'"),
+])
+def test_malformed_graph_file_is_a_clean_error(tmp_path, capsys, content, expected):
+    graph = tmp_path / "g.json"
+    graph.write_text(content)
+    for command in ("anneal", "spectrum"):
+        code, _, err = run([command, "--graph", graph, "--k", 2, "--out", tmp_path / "o"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and expected in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_anneal_writes_record_and_reports_outcome(tmp_path, p5_file, capsys):
     out = tmp_path / "run"
     code, stdout, _ = run(["anneal", "--graph", p5_file, "--k", 2,

@@ -190,9 +190,11 @@ def test_json_roundtrip():
     assert q2.k == q.k
 
 
-def test_sample_jsonl_roundtrip():
-    s = Sample(bits="0101", energy=0.0, valid=True)
-    assert Sample.from_json(s.to_json()) == s
+def test_sample_validity_boundary():
+    assert Sample.scored("0101", 1e-9).valid
+    assert Sample.scored("0101", -1e-9).valid
+    assert not Sample.scored("0101", 2e-9).valid
+    assert Sample.scored("0101", 2e-9) == Sample("0101", 2e-9, False)
 
 
 def test_guards():

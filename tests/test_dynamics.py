@@ -11,12 +11,11 @@ from annealab.dynamics import (
     SLOW_TIME_SCALE,
     IntegratorError,
     QuantumState,
+    anneal,
     basis_state,
     driver_ground,
     energy_expectation,
     evolve,
-    forward_anneal,
-    reverse_anneal,
     sample,
 )
 from annealab.graphs import Graph, complete_graph, path_graph
@@ -142,15 +141,16 @@ def test_reversed_path_undoes_evolution_up_to_conjugation():
 def test_forward_anneal_solves_single_vertex():
     g = Graph(1, ())
     diag = build_problem_diagonal(build_coloring_qubo(g, 1))
-    out = forward_anneal(diag, linear_schedule(), total_time=20.0, shots=50, seed=3)
+    out = anneal(diag, linear_schedule(), make_forward_path(20.0), shots=50, seed=3,
+                 time_scale=SLOW_TIME_SCALE)
     assert sum(s.bits == "1" for s in out) == 50
     assert all(s.valid and s.energy == 0.0 for s in out)
 
 
 def test_slow_forward_anneal_lands_on_proper_colorings():
     diag = p5_diag()
-    out = forward_anneal(
-        diag, linear_schedule(), total_time=100.0, shots=100, seed=11,
+    out = anneal(
+        diag, linear_schedule(), make_forward_path(100.0), shots=100, seed=11,
         time_scale=SLOW_TIME_SCALE,
     )
     assert sum(s.valid for s in out) >= 80
@@ -160,14 +160,14 @@ def test_shallow_reverse_anneal_returns_the_seed():
     diag = p5_diag()
     sched = steep_schedule()
     path = make_reverse_path(0.97, 1.0)
-    out = reverse_anneal(diag, sched, path, "0101101010", shots=50, seed=2, time_scale=0.1)
+    out = anneal(diag, sched, path, "0101101010", shots=50, seed=2, time_scale=0.1)
     assert all(s.bits == "0101101010" for s in out)
 
 
 def test_reverse_anneal_rejects_forward_path():
     diag = p5_diag()
-    with pytest.raises(ValueError, match="reverse"):
-        reverse_anneal(diag, steep_schedule(), make_forward_path(10.0), "0" * 10)
+    with pytest.raises(ValueError, match="forward path takes no initial"):
+        anneal(diag, steep_schedule(), make_forward_path(10.0), "0" * 10)
 
 
 def test_evolve_guards():

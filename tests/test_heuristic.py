@@ -20,7 +20,6 @@ from annealab.heuristic import (
     OUTCOME_EXHAUSTED,
     OUTCOME_FORWARD,
     OUTCOME_RA,
-    BackendCapabilityError,
     CycleRecord,
     RunRecord,
     StatevectorBackend,
@@ -171,7 +170,7 @@ def test_zero_cycle_budget_reports_exhausted_with_seed():
 
 def test_statevector_cap_is_enforced():
     big = build_coloring_qubo(path_graph(5), 5)  # 25 vars
-    with pytest.raises(BackendCapabilityError):
+    with pytest.raises(ValueError, match="capped at 20 qubits"):
         StatevectorBackend().forward(big, linear_schedule(), shots=1)
 
 

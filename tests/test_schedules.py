@@ -7,7 +7,6 @@ from annealab.schedules import (
     ScheduleError,
     linear_schedule,
     load_bundled,
-    load_schedule,
     make_forward_path,
     make_reverse_path,
     resolve_schedule,
@@ -143,7 +142,7 @@ def test_resolve_schedule(tmp_path):
 def test_load_schedule_is_file_loader(tmp_path):
     f = tmp_path / "lin.csv"
     linear_schedule(num=11).to_csv(f)
-    assert load_schedule(f).b(0.25) == pytest.approx(0.75)
+    assert resolve_schedule(str(f)).b(0.25) == pytest.approx(0.75)
 
 
 def test_path_guards():

@@ -1,28 +1,19 @@
 """Rotor-sampler checks. Thresholds here are calibration artifacts, not
 physics claims; they were fixed once against the brute-force oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
 from annealab.coloring_qubo import IsingProblem, brute_force_solve, build_coloring_qubo, qubo_to_ising
+from annealab.dynamics import anneal
 from annealab.graphs import path_graph
 from annealab.schedules import AnnealPath, linear_schedule, make_forward_path, make_reverse_path, steep_schedule
-from annealab.svmc import RotorConfiguration, svmc_run
+from annealab.spectrum import build_problem_diagonal
+from annealab.svmc import svmc_run
 
 
 def p5_ising():
     return qubo_to_ising(build_coloring_qubo(path_graph(5), 2))
-
-
-def test_rotor_projection_and_range():
-    cfg = RotorConfiguration(np.array([0.0, math.pi, math.pi / 2]))
-    assert cfg.bits() == "010"  # pi/2 rounds to cos >= 0
-    with pytest.raises(ValueError):
-        RotorConfiguration(np.array([-0.5, 1.0]))
-    with pytest.raises(ValueError):
-        RotorConfiguration(np.array([1.0, 4.0]))
 
 
 def test_single_spin_ground_state_from_field_sign():
@@ -84,11 +75,15 @@ def test_cold_chain_never_climbs_at_end_of_schedule():
         assert out.energy <= e0
 
 
-def test_initial_bitstring_guards():
-    ising = p5_ising()
-    with pytest.raises(ValueError, match="initial"):
-        svmc_run(ising, linear_schedule(), make_reverse_path(0.5, 1.0))
-    with pytest.raises(ValueError, match="initial"):
-        svmc_run(ising, linear_schedule(), make_forward_path(1.0), initial="0" * 10)
-    with pytest.raises(ValueError, match="bits"):
-        svmc_run(ising, linear_schedule(), make_reverse_path(0.5, 1.0), initial="01")
+@pytest.mark.parametrize("sampler", ["svmc_run", "anneal"])
+def test_initial_bitstring_guards(sampler):
+    # both samplers apply AnnealPath.check_start, with the same messages
+    q = build_coloring_qubo(path_graph(5), 2)
+    problem = qubo_to_ising(q) if sampler == "svmc_run" else build_problem_diagonal(q)
+    run = svmc_run if sampler == "svmc_run" else anneal
+    with pytest.raises(ValueError, match="reverse path needs an initial bitstring"):
+        run(problem, linear_schedule(), make_reverse_path(0.5, 1.0))
+    with pytest.raises(ValueError, match="forward path takes no initial bitstring"):
+        run(problem, linear_schedule(), make_forward_path(1.0), initial="0" * 10)
+    with pytest.raises(ValueError, match="initial has 2 bits, problem has 10 variables"):
+        run(problem, linear_schedule(), make_reverse_path(0.5, 1.0), initial="01")
