@@ -94,13 +94,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    for flag, value in (("--levels", args.levels), ("--grid", args.grid)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     sched = resolve_schedule(args.schedule)
     g = _load_graph(args.graph)
     problem = build_coloring_qubo(g, args.k)
-    out = prepare_out(args.out)
     diag = build_problem_diagonal(problem)
     table = spectrum_sweep(sched, diag, grid=np.linspace(0.0, 1.0, args.grid),
                            m=args.levels)
+    out = prepare_out(args.out)
     table.to_csv(out / "spectrum.csv")
     params = dict(graph=args.graph, k=args.k, schedule=args.schedule,
                   levels=args.levels, grid=args.grid, out=str(out))

@@ -11,6 +11,14 @@ The resulting classical energy at anneal position s is
 
 and Metropolis sweeps with uniform angle proposals track s along the
 anneal path. Bits are read out by the sign of cos(theta).
+
+Stream contract: a trajectory's outputs are fixed by its seed through the
+order in which it consumes the generator's doubles u. Sweep by sweep, it
+takes n proposal doubles (spin 0 to n-1), then n acceptance doubles. The
+proposed angle of spin i is pi * u, and the move is accepted when the
+energy change is not positive or the acceptance double is below
+exp(-beta * dE). Drawing many sweeps in one block keeps this order, so the
+block size does not change any output.
 """
 
 import math
@@ -22,6 +30,8 @@ from .schedules import AnnealPath, Schedule
 
 DEFAULT_BETA = 10.0
 DEFAULT_SWEEPS_PER_WAYPOINT = 1000
+# sweeps whose random numbers are drawn in one block; bounds the block's memory
+_SWEEP_BLOCK = 256
 
 
 def svmc_run(
@@ -62,38 +72,44 @@ def svmc_run(
         nbr_val[j].append(v)
     adj = [(np.array(ix, dtype=np.intp), np.array(vx)) for ix, vx in zip(nbr_idx, nbr_val)]
 
-    m = np.cos(theta)  # z-components; their signs are the readout
-    sin_t = np.sin(theta)
-    z = h.copy()  # local fields h_i + sum_j J_ij m_j, kept incrementally
+    m_arr = np.cos(theta)
+    z_arr = h.copy()  # local fields h_i + sum_j J_ij m_j, kept incrementally
     for i, (ix, vx) in enumerate(adj):
         if ix.size:
-            z[i] += float(np.dot(vx, m[ix]))
+            z_arr[i] += float(np.dot(vx, m_arr[ix]))
+    # the sweeps run on Python floats: the same IEEE operations as numpy's
+    # elementwise float64 ones, without the per-element numpy call overhead
+    nbrs = [list(zip(ix.tolist(), vx.tolist())) for ix, vx in adj]
+    m = m_arr.tolist()  # z-components; their signs are the readout
+    sin_t = np.sin(theta).tolist()
+    z = z_arr.tolist()
 
     total_sweeps = sweeps_per_waypoint * len(path.times)
     mids = (np.arange(total_sweeps) + 0.5) * (path.total_time / total_sweeps)
     s_ladder = path.s_of_t(mids)
-    a_ladder = sched.a(s_ladder)
-    b_ladder = sched.b(s_ladder)
+    a_ladder = sched.a(s_ladder).tolist()
+    b_ladder = sched.b(s_ladder).tolist()
 
-    for sweep in range(total_sweeps):
-        a_s = float(a_ladder[sweep])
-        b_s = float(b_ladder[sweep])
-        prop = rng.uniform(0.0, math.pi, n)
-        accept_u = rng.random(n)
-        cos_p = np.cos(prop)
-        sin_p = np.sin(prop)
-        for i in range(n):
-            dm = cos_p[i] - m[i]
-            d_e = a_s * z[i] * dm - b_s * (sin_p[i] - sin_t[i])
-            if d_e > 0.0 and accept_u[i] >= math.exp(-beta * d_e):
-                continue
-            m[i] = cos_p[i]
-            sin_t[i] = sin_p[i]
-            ix, vx = adj[i]
-            if ix.size:
-                z[ix] += vx * dm
+    exp = math.exp
+    for start in range(0, total_sweeps, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, total_sweeps)
+        u = rng.random((stop - start, 2, n))
+        prop = math.pi * u[:, 0, :]
+        for a_s, b_s, cos_p, sin_p, accept_u in zip(
+            a_ladder[start:stop], b_ladder[start:stop],
+            np.cos(prop).tolist(), np.sin(prop).tolist(), u[:, 1, :].tolist(),
+        ):
+            for i in range(n):
+                dm = cos_p[i] - m[i]
+                d_e = a_s * z[i] * dm - b_s * (sin_p[i] - sin_t[i])
+                if d_e > 0.0 and accept_u[i] >= exp(-beta * d_e):
+                    continue
+                m[i] = cos_p[i]
+                sin_t[i] = sin_p[i]
+                for j, v in nbrs[i]:
+                    z[j] += v * dm
 
     # bit 0 (spin +1) iff cos(theta) >= 0
-    spins = np.where(m >= 0.0, 1.0, -1.0)
+    spins = np.where(np.array(m) >= 0.0, 1.0, -1.0)
     bits = "".join("0" if sp > 0 else "1" for sp in spins)
     return Sample.scored(bits, float(ising.energy(spins)))

@@ -84,6 +84,22 @@ def test_generate_rejects_bad_count_before_writing(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--levels", -3, "--levels must be >= 1, got -3"),
+    ("--grid", 0, "--grid must be >= 1, got 0"),
+    ("--levels", 2000, "need 1 <= m <= 1024, got 2000"),  # P5 at k=2 has 1024 levels
+])
+def test_spectrum_rejects_bad_sizes_before_writing(tmp_path, p5_file, capsys, flag, value,
+                                                   message):
+    out = tmp_path / "spec"
+    code, stdout, err = run(["spectrum", "--graph", p5_file, "--k", 2, flag, value,
+                             "--out", out], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, expected", [
     ('{"edges": [[0, 1]]}', "keys 'n' and 'edges'"),
     ('{"n": "3", "edges": []}', "'n' must be an integer"),

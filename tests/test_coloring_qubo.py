@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealab.coloring_qubo import (
     IsingProblem,
@@ -127,14 +129,28 @@ def test_validate_equals_energy_zero_equals_combinatorial():
     assert valid_set == zero_set == proper_colorings_as_indices(g, k)
 
 
-def test_ising_conversion_energy_identity():
-    rng = np.random.default_rng(5)
-    g = generate_er(5, 0.6, 9)
-    q = build_coloring_qubo(g, 2, penalty=1.3)
+# random ER instances: vertex count, edge probability, seed, colors, penalty
+instances = st.builds(
+    lambda n, p, seed, k, penalty: build_coloring_qubo(generate_er(n, p, seed), k, penalty),
+    st.integers(1, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    st.integers(1, 3), st.floats(0.1, 10.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=instances, data=st.data())
+def test_ising_conversion_energy_identity(q, data):
     ising = qubo_to_ising(q)
-    for _ in range(40):
-        x = rng.integers(0, 2, size=q.n_vars)
-        assert ising.energy(1.0 - 2.0 * x) == pytest.approx(q.energy(x), abs=1e-9)
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.n_vars, max_size=q.n_vars)))
+    assert ising.energy(1.0 - 2.0 * x) == pytest.approx(q.energy(x), abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=instances, data=st.data())
+def test_validate_agrees_with_scored_energy(q, data):
+    # the combinatorial check and the energy-zero rule name the same samples
+    bits = data.draw(st.text("01", min_size=q.n_vars, max_size=q.n_vars))
+    assert validate(q, bits) == Sample.scored(bits, q.energy(bits)).valid
 
 
 def test_ising_single_variable():

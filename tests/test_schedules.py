@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealab.schedules import (
     AnnealPath,
@@ -97,6 +99,27 @@ def test_make_reverse_path_shape():
     # one flat pause interval at the turning point
     assert p.svals[6] == pytest.approx(0.5)
     assert np.allclose(p.svals[6:], [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(s_prime=st.floats(0.001, 0.999), total_time=st.floats(1e-3, 1e4),
+       n=st.integers(1, 12), data=st.data())
+def test_reverse_path_invariants(s_prime, total_time, n, data):
+    p = make_reverse_path(s_prime, total_time)
+    assert len(p.times) == 12
+    assert p.times[-1] == pytest.approx(total_time)
+    assert np.allclose(p.svals, p.svals[::-1], rtol=0.0, atol=1e-12)
+    assert p.svals[5] == p.svals[6] == s_prime
+    assert p.svals.min() == s_prime
+    bits = st.text("01", min_size=n, max_size=n)
+    p.check_start(data.draw(bits), n)
+    with pytest.raises(ValueError, match="reverse path needs an initial bitstring"):
+        p.check_start(None, n)
+    with pytest.raises(ValueError, match="forward path takes no initial bitstring"):
+        make_forward_path(total_time).check_start(data.draw(bits), n)
+    wrong = data.draw(st.text("01", max_size=2 * n).filter(lambda b: len(b) != n))
+    with pytest.raises(ValueError, match=f"initial has {len(wrong)} bits"):
+        p.check_start(wrong, n)
 
 
 def test_make_reverse_path_timing():

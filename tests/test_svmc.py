@@ -1,15 +1,26 @@
 """Rotor-sampler checks. Thresholds here are calibration artifacts, not
 physics claims; they were fixed once against the brute-force oracle."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annealab.coloring_qubo import IsingProblem, brute_force_solve, build_coloring_qubo, qubo_to_ising
+from annealab.coloring_qubo import (
+    IsingProblem,
+    Sample,
+    brute_force_solve,
+    build_coloring_qubo,
+    qubo_to_ising,
+)
 from annealab.dynamics import anneal
 from annealab.graphs import path_graph
 from annealab.schedules import AnnealPath, linear_schedule, make_forward_path, make_reverse_path, steep_schedule
 from annealab.spectrum import build_problem_diagonal
-from annealab.svmc import svmc_run
+from annealab.svmc import _SWEEP_BLOCK, DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT, svmc_run
 
 
 def p5_ising():
@@ -87,3 +98,118 @@ def test_initial_bitstring_guards(sampler):
         run(problem, linear_schedule(), make_forward_path(1.0), initial="0" * 10)
     with pytest.raises(ValueError, match="initial has 2 bits, problem has 10 variables"):
         run(problem, linear_schedule(), make_reverse_path(0.5, 1.0), initial="01")
+
+
+def _svmc_run_reference(
+    ising,
+    sched,
+    path,
+    initial=None,
+    sweeps_per_waypoint=DEFAULT_SWEEPS_PER_WAYPOINT,
+    beta=DEFAULT_BETA,
+    seed=0,
+) -> Sample:
+    """The numpy-array sweep loop svmc_run replaced, kept as its oracle:
+    one uniform(0, pi) proposal draw and one acceptance draw of n doubles
+    per sweep, and a fancy-indexed local-field update per accepted move."""
+    if sweeps_per_waypoint < 1:
+        raise ValueError(f"need sweeps_per_waypoint >= 1, got {sweeps_per_waypoint}")
+    if beta <= 0:
+        raise ValueError(f"need beta > 0, got {beta}")
+    n = ising.n_spins
+    path.check_start(initial, n)
+    if initial is None:
+        theta = np.full(n, math.pi / 2.0)
+    else:
+        theta = np.array([0.0 if ch == "0" else math.pi for ch in initial])
+    rng = np.random.default_rng(seed)
+
+    h = np.asarray(ising.h, dtype=np.float64)
+    nbr_idx: list[list[int]] = [[] for _ in range(n)]
+    nbr_val: list[list[float]] = [[] for _ in range(n)]
+    for i, j, v in ising.j:
+        nbr_idx[i].append(j)
+        nbr_val[i].append(v)
+        nbr_idx[j].append(i)
+        nbr_val[j].append(v)
+    adj = [(np.array(ix, dtype=np.intp), np.array(vx)) for ix, vx in zip(nbr_idx, nbr_val)]
+
+    m = np.cos(theta)  # z-components; their signs are the readout
+    sin_t = np.sin(theta)
+    z = h.copy()  # local fields h_i + sum_j J_ij m_j, kept incrementally
+    for i, (ix, vx) in enumerate(adj):
+        if ix.size:
+            z[i] += float(np.dot(vx, m[ix]))
+
+    total_sweeps = sweeps_per_waypoint * len(path.times)
+    mids = (np.arange(total_sweeps) + 0.5) * (path.total_time / total_sweeps)
+    s_ladder = path.s_of_t(mids)
+    a_ladder = sched.a(s_ladder)
+    b_ladder = sched.b(s_ladder)
+
+    for sweep in range(total_sweeps):
+        a_s = float(a_ladder[sweep])
+        b_s = float(b_ladder[sweep])
+        prop = rng.uniform(0.0, math.pi, n)
+        accept_u = rng.random(n)
+        cos_p = np.cos(prop)
+        sin_p = np.sin(prop)
+        for i in range(n):
+            dm = cos_p[i] - m[i]
+            d_e = a_s * z[i] * dm - b_s * (sin_p[i] - sin_t[i])
+            if d_e > 0.0 and accept_u[i] >= math.exp(-beta * d_e):
+                continue
+            m[i] = cos_p[i]
+            sin_t[i] = sin_p[i]
+            ix, vx = adj[i]
+            if ix.size:
+                z[ix] += vx * dm
+
+    # bit 0 (spin +1) iff cos(theta) >= 0
+    spins = np.where(m >= 0.0, 1.0, -1.0)
+    bits = "".join("0" if sp > 0 else "1" for sp in spins)
+    return Sample.scored(bits, float(ising.energy(spins)))
+
+
+# fields and couplings include exact zeros; a spin with no coupling is isolated
+_weights = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _isings(draw):
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          unique=True)) if n > 1 else []
+    return IsingProblem(n, tuple(draw(_weights) for _ in range(n)),
+                        tuple((i, j, draw(_weights)) for i, j in sorted(pairs)),
+                        draw(st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def _path_and_initial(draw, n):
+    """A forward, reverse or custom path with the initial it must take."""
+    bits = st.text("01", min_size=n, max_size=n)
+    total_time = draw(st.floats(0.1, 100.0))
+    kind = draw(st.sampled_from(["forward", "reverse", "custom"]))
+    if kind == "forward":
+        return make_forward_path(total_time), None
+    if kind == "reverse":
+        return make_reverse_path(draw(st.floats(0.01, 0.99)), total_time), draw(bits)
+    steps = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=5))
+    svals = draw(st.lists(st.floats(0.0, 1.0), min_size=len(steps) + 1,
+                          max_size=len(steps) + 1))
+    path = AnnealPath(np.concatenate([[0.0], np.cumsum(steps)]), np.array(svals))
+    return path, draw(st.one_of(st.none(), bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ising=_isings(),
+       sched=st.sampled_from([linear_schedule(), steep_schedule()]),
+       sweeps=st.sampled_from([1, 2, 3, 4, 5, _SWEEP_BLOCK + 1]),
+       beta=st.floats(0.01, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_svmc_run_matches_array_loop_reference(data, ising, sched, sweeps, beta, seed):
+    # the float loop must reproduce the array loop's Sample exactly, bits and energy
+    path, initial = data.draw(_path_and_initial(ising.n_spins))
+    kwargs = dict(initial=initial, sweeps_per_waypoint=sweeps, beta=beta, seed=seed)
+    assert svmc_run(ising, sched, path, **kwargs) == \
+        _svmc_run_reference(ising, sched, path, **kwargs)
