@@ -113,13 +113,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_anneal(args) -> int:
+    # the config's checks on the fields anneal shares with it, before anything is written
+    ExperimentConfig(**{name: getattr(args, _dest(name)) for name in ANNEAL_FIELDS})
     sched = resolve_schedule(args.schedule)
     g = _load_graph(args.graph)
     k = args.k if args.k is not None else greedy_color_largest_first(g)[0]
     problem = build_coloring_qubo(g, k)
-    out = prepare_out(args.out)
     run = {name: getattr(args, name) for name in ("s_prime", "max_cycles", *ANNEAL_RUN_FIELDS)}
     record = assisted_reverse_anneal(problem, make_backend(args), sched, **run)
+    out = prepare_out(args.out)
     with open(out / "anneal_record.jsonl", "w") as f:
         f.write(record.to_jsonl() + "\n")
     params = dict(run, graph=args.graph, k=k, schedule=args.schedule, backend=args.backend,

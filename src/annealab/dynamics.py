@@ -3,18 +3,32 @@
 The propagator is a Chebyshev polynomial expansion of exp(-i H dt). Each path
 segment is split into equal substeps no wider than `accuracy` in s; within a
 substep H is frozen at the midpoint s, so every substep applies an exact
-(to series truncation ~1e-14) unitary. Pause segments (constant s) are
+(to series truncation ~1e-15) unitary. Pause segments (constant s) are
 propagated in a single exponential, which conserves the energy expectation to
 rounding. Time is dimensionless: physical duration = waypoint time *
 time_scale.
 
-The scheme is norm-preserving by construction; the drift bound below is
-enforced anyway, with step refinement as the escape hatch.
+A series with argument alpha = (spectral radius) * dt keeps n terms, n the
+smallest count >= max(2, floor(alpha)) at which both |J_n(alpha)| and
+|J_{n-1}(alpha)| are below 1e-15: past alpha the Bessel coefficients decay
+faster than exponentially, so the tail they bound is negligible (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
+norm drifts past DRIFT_BOUND raises IntegratorError instead of being
+renormalized.
+
+`evolve` is deterministic, and chained reverse anneals keep re-evolving the
+same input state, so final states are memoized: an LRU keyed by a digest of
+every input the result depends on, bounded by MEMO_BYTES of amplitudes. The
+states it returns are read-only, so no caller can alter a cached entry.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +46,14 @@ SLOW_TIME_SCALE = 8.0
 REVERSE_TIME_SCALE = 1.0
 DEFAULT_TOTAL_TIME = 100.0
 DEFAULT_ACCURACY = 0.002
+# a Chebyshev series stops once two consecutive Bessel coefficients are this small
+BESSEL_TAIL = 1e-15
+# amplitude bytes the evolve memo may hold: 4 states at 20 qubits, 4096 at 10
+MEMO_BYTES = 64 << 20
 
 
 class IntegratorError(RuntimeError):
-    """Step refinement could not meet the norm-drift bound."""
+    """A path segment's norm drifted past DRIFT_BOUND."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +94,29 @@ def energy_expectation(s: float, sched: Schedule, diag: ProblemDiagonal, state: 
     return float(np.real(np.vdot(state.amplitudes, apply_hamiltonian(s, sched, diag, state.amplitudes))))
 
 
+def _bessel_series(alpha: float) -> np.ndarray:
+    """J_0(alpha) .. J_n(alpha), n the smallest order >= max(2, floor(alpha))
+    with |J_n(alpha)| and |J_{n-1}(alpha)| both <= BESSEL_TAIL. Orders are
+    evaluated 32 at a time past floor(alpha) until that n is found."""
+    first = max(2, int(alpha))
+    bessel = jv(np.arange(first + 32), alpha)
+    while True:
+        small = np.abs(bessel[first - 1:]) <= BESSEL_TAIL
+        both = small[1:] & small[:-1]  # both[i]: orders first + i - 1 and first + i
+        if both.any():
+            return bessel[:first + int(np.argmax(both)) + 1]
+        bessel = np.concatenate([bessel, jv(np.arange(bessel.size, bessel.size + 32), alpha)])
+
+
 def _chebyshev_exp(diag_vals, a, b, n, lo, hi, psi, dt):
     """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
     alpha = radius * dt
-    n_terms = int(alpha + 4.0 * (alpha + 1.0) ** (1.0 / 3.0) + 24.0)
-    while abs(jv(n_terms, alpha)) > 1e-15 or abs(jv(n_terms - 1, alpha)) > 1e-15:
-        n_terms += 16
+    bessel = _bessel_series(alpha)
+    n_terms = bessel.size - 1
     ks = np.arange(n_terms + 1)
-    coefs = 2.0 * (-1j) ** ks * jv(ks, alpha)
+    coefs = 2.0 * (-1j) ** ks * bessel
     coefs[0] *= 0.5
     shifted = (a * diag_vals - center) / radius
     scale = b / radius
@@ -107,6 +138,45 @@ def _chebyshev_exp(diag_vals, a, b, n, lo, hi, psi, dt):
     return np.exp(-1j * center * dt) * acc
 
 
+class _Memo:
+    """LRU of evolve's final states by input digest, bounded by MEMO_BYTES.
+    One per process (`_MEMO`), shared by every caller of evolve."""
+
+    def __init__(self):
+        self._states: OrderedDict[bytes, QuantumState] = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: bytes) -> QuantumState | None:
+        state = self._states.get(key)
+        if state is not None:
+            self._states.move_to_end(key)
+        return state
+
+    def put(self, key: bytes, state: QuantumState) -> None:
+        self._states[key] = state
+        self.nbytes += state.amplitudes.nbytes
+        while self.nbytes > MEMO_BYTES:
+            _, old = self._states.popitem(last=False)
+            self.nbytes -= old.amplitudes.nbytes
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+
+_MEMO = _Memo()
+
+
+def _evolve_key(state, path, sched, diag, accuracy, time_scale) -> bytes:
+    """Digest of everything evolve's result depends on."""
+    h = hashlib.blake2b(digest_size=20)
+    for arr in (diag.values, path.times, path.svals, sched.s_grid, sched.a_vals,
+                sched.b_vals, state.amplitudes, np.array([time_scale, accuracy], np.float64)):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr)
+    return h.digest()
+
+
 def evolve(
     state: QuantumState,
     path: AnnealPath,
@@ -115,45 +185,42 @@ def evolve(
     accuracy: float = DEFAULT_ACCURACY,
     time_scale: float = 1.0,
 ) -> QuantumState:
-    """Propagate along the path. Deterministic; returns a unit state whose
-    norm_drift field reports the accumulated pre-renormalization drift."""
+    """Propagate along the path. Deterministic; returns a read-only unit state
+    whose norm_drift field reports the accumulated pre-renormalization drift.
+    Equal inputs return the memoized state of the first call."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
     if accuracy <= 0 or time_scale <= 0:
         raise ValueError("accuracy and time_scale must be positive")
+    key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
+    final = _MEMO.get(key)
+    if final is not None:
+        return final
     dmin, dmax = diag.bounds
     n = diag.n_qubits
-    psi = state.amplitudes.copy()
+    psi = state.amplitudes
     drift_total = 0.0
     for t0, t1, s0, s1 in path.segments():
-        duration = (t1 - t0) * time_scale
-        base_steps = 1 if s0 == s1 else max(1, math.ceil(abs(s1 - s0) / accuracy))
-        seg_start = psi
-        refine = 0
-        while True:
-            steps = base_steps * (1 << refine)
-            dt = duration / steps
-            psi = seg_start
-            for j in range(steps):
-                smid = s0 + (j + 0.5) * (s1 - s0) / steps
-                a = float(sched.a(smid))
-                b = float(sched.b(smid))
-                lo = a * dmin - b * n
-                hi = a * dmax + b * n
-                psi = _chebyshev_exp(diag.values, a, b, n, lo, hi, psi, dt)
-            norm = float(np.linalg.norm(psi))
-            drift = abs(norm - 1.0)
-            if drift <= DRIFT_BOUND:
-                psi = psi / norm
-                drift_total += drift
-                break
-            if refine >= 4:
-                raise IntegratorError(
-                    f"norm drift {drift:.3e} exceeds {DRIFT_BOUND} even at "
-                    f"{steps} steps on segment [{t0}, {t1}]"
-                )
-            refine += 1
-    return QuantumState(n, psi, norm_drift=drift_total)
+        steps = 1 if s0 == s1 else max(1, math.ceil(abs(s1 - s0) / accuracy))
+        dt = (t1 - t0) * time_scale / steps
+        for j in range(steps):
+            smid = s0 + (j + 0.5) * (s1 - s0) / steps
+            a = float(sched.a(smid))
+            b = float(sched.b(smid))
+            lo = a * dmin - b * n
+            hi = a * dmax + b * n
+            psi = _chebyshev_exp(diag.values, a, b, n, lo, hi, psi, dt)
+        norm = float(np.linalg.norm(psi))
+        drift = abs(norm - 1.0)
+        if drift > DRIFT_BOUND:
+            raise IntegratorError(
+                f"norm drift {drift:.3e} exceeds {DRIFT_BOUND} on segment [{t0}, {t1}]")
+        psi = psi / norm
+        drift_total += drift
+    final = QuantumState(n, psi, norm_drift=drift_total)
+    final.amplitudes.flags.writeable = False
+    _MEMO.put(key, final)
+    return final
 
 
 def sample(state: QuantumState, shots: int, seed) -> list[str]:

@@ -52,7 +52,7 @@ def svmc_run(
     """
     if sweeps_per_waypoint < 1:
         raise ValueError(f"need sweeps_per_waypoint >= 1, got {sweeps_per_waypoint}")
-    if beta <= 0:
+    if not beta > 0:  # NaN fails this test too
         raise ValueError(f"need beta > 0, got {beta}")
     n = ising.n_spins
     path.check_start(initial, n)

@@ -115,6 +115,23 @@ def test_malformed_graph_file_is_a_clean_error(tmp_path, capsys, content, expect
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--svmc-beta", "nan", "svmc_beta must be positive, got nan"),
+    ("--svmc-sweeps", 0, "svmc_sweeps must be >= 1, got 0"),
+    ("--forward-shots", 0, "forward_shots must be >= 1, got 0"),
+    ("--s-prime", "nan", "reverse distance must be in (0, 1), got nan"),
+])
+def test_anneal_rejects_bad_values_before_writing(tmp_path, p5_file, capsys, flag, value,
+                                                  message):
+    out = tmp_path / "run"
+    code, stdout, err = run(["anneal", "--graph", p5_file, "--k", 2, "--backend", "svmc",
+                             flag, value, "--out", out], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_anneal_writes_record_and_reports_outcome(tmp_path, p5_file, capsys):
     out = tmp_path / "run"
     code, stdout, _ = run(["anneal", "--graph", p5_file, "--k", 2,

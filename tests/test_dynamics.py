@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import jv
 
-from annealab.coloring_qubo import bits_to_index, build_coloring_qubo
+from annealab import dynamics
+from annealab.coloring_qubo import bits_to_index, build_coloring_qubo, index_to_bits
 from annealab.dynamics import (
     DRIFT_BOUND,
     SLOW_TIME_SCALE,
     IntegratorError,
     QuantumState,
+    _chebyshev_exp,
     anneal,
     basis_state,
     driver_ground,
@@ -18,6 +23,7 @@ from annealab.dynamics import (
     evolve,
     sample,
 )
+from annealab.experiments import ExperimentConfig, instance
 from annealab.graphs import Graph, complete_graph, path_graph
 from annealab.schedules import (
     AnnealPath,
@@ -26,7 +32,7 @@ from annealab.schedules import (
     make_reverse_path,
     steep_schedule,
 )
-from annealab.spectrum import apply_hamiltonian, build_problem_diagonal
+from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
 
 
 def p5_diag(k=2):
@@ -177,3 +183,125 @@ def test_evolve_guards():
         evolve(driver_ground(4), make_forward_path(1.0), sched, diag)
     with pytest.raises(ValueError):
         evolve(driver_ground(10), make_forward_path(1.0), sched, diag, accuracy=0.0)
+
+
+def _chebyshev_exp_reference(diag_vals, a, b, n, lo, hi, psi, dt):
+    """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
+    center = 0.5 * (hi + lo)
+    radius = 0.5 * (hi - lo) + 1e-12
+    alpha = radius * dt
+    n_terms = int(alpha + 4.0 * (alpha + 1.0) ** (1.0 / 3.0) + 24.0)
+    while abs(jv(n_terms, alpha)) > 1e-15 or abs(jv(n_terms - 1, alpha)) > 1e-15:
+        n_terms += 16
+    ks = np.arange(n_terms + 1)
+    coefs = 2.0 * (-1j) ** ks * jv(ks, alpha)
+    coefs[0] *= 0.5
+    shifted = (a * diag_vals - center) / radius
+    scale = b / radius
+
+    def hmv(x):
+        out = shifted * x
+        if b != 0.0:
+            out += scale * driver_apply(x)
+        return out
+
+    t_prev = psi.astype(np.complex128, copy=True)
+    acc = coefs[0] * t_prev
+    t_cur = hmv(t_prev)
+    acc += coefs[1] * t_cur
+    for k in range(2, n_terms + 1):
+        t_next = 2.0 * hmv(t_cur) - t_prev
+        acc += coefs[k] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return np.exp(-1j * center * dt) * acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), a=st.floats(0.0, 2.0),
+       b=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       dt=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 40.0)))
+def test_chebyshev_series_matches_reference_term_rule(data, n, a, b, dt):
+    # the Bessel-tail term count drops only terms below 1e-15 from the
+    # reference's longer series, on random diagonals, weights, steps and states
+    vals = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1 << n,
+                                       max_size=1 << n)))
+    re, im = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1 << n,
+                                          max_size=1 << n))) for _ in range(2))
+    psi = re + 1j * im
+    norm = np.linalg.norm(psi)
+    psi = psi / norm if norm > 0 else basis_state("0" * n).amplitudes
+    lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
+    got = _chebyshev_exp(vals, a, b, n, lo, hi, psi, dt)
+    want = _chebyshev_exp_reference(vals, a, b, n, lo, hi, psi, dt)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_evolve_matches_reference_series_on_sweep_problem(monkeypatch):
+    # the benchmark's 6-qubit sweep problem: forward, then reverse at each s'
+    # of its grid, against evolve run on the reference series
+    diag = build_problem_diagonal(instance(ExperimentConfig(n_vertices=3, count=1, k=2), 0))
+    sched = steep_schedule()
+    fwd = evolve(driver_ground(6), make_forward_path(100.0), sched, diag,
+                 time_scale=SLOW_TIME_SCALE)
+    seed = basis_state(index_to_bits(int(np.argmax(fwd.probabilities())), 6))
+    runs = [(driver_ground(6), make_forward_path(100.0), SLOW_TIME_SCALE)]
+    runs += [(seed, make_reverse_path(sp, 100.0), 1.0) for sp in (0.44, 0.72, 0.93)]
+    got = [evolve(start, path, sched, diag, time_scale=ts) for start, path, ts in runs]
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    monkeypatch.setattr(dynamics, "_chebyshev_exp", _chebyshev_exp_reference)
+    for out, (start, path, ts) in zip(got, runs):
+        want = evolve(start, path, sched, diag, time_scale=ts)
+        assert np.max(np.abs(out.probabilities() - want.probabilities())) <= 1e-12
+        assert out.norm_drift <= 1e-13
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    fresh = dynamics._Memo()
+    monkeypatch.setattr(dynamics, "_MEMO", fresh)
+    return fresh
+
+
+def p2_diag():
+    return build_problem_diagonal(build_coloring_qubo(path_graph(2), 2))
+
+
+def test_evolve_memo_returns_one_read_only_state_for_equal_inputs(memo):
+    diag, sched, path = p2_diag(), steep_schedule(), make_reverse_path(0.5, 10.0)
+    first = evolve(basis_state("0110"), path, sched, diag, accuracy=0.05)
+    again = evolve(QuantumState(4, basis_state("0110").amplitudes.copy()), path, sched, diag,
+                   accuracy=0.05)
+    assert again is first and len(memo) == 1
+    assert not first.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        first.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("change", ["amplitudes", "path", "accuracy", "time_scale"])
+def test_evolve_memo_misses_on_any_changed_input(memo, change):
+    diag, sched = p2_diag(), steep_schedule()
+    base = dict(state=basis_state("0110"), path=make_reverse_path(0.5, 10.0),
+                sched=sched, diag=diag, accuracy=0.05, time_scale=1.0)
+    other = dict(base, **{"amplitudes": {"state": basis_state("1001")},
+                          "path": {"path": make_reverse_path(0.6, 10.0)},
+                          "accuracy": {"accuracy": 0.04},
+                          "time_scale": {"time_scale": 2.0}}[change])
+    first = evolve(**base)
+    second = evolve(**other)
+    assert second is not first and len(memo) == 2
+    assert not np.array_equal(second.amplitudes, first.amplitudes)
+
+
+def test_evolve_memo_evicts_least_recently_used_first(memo, monkeypatch):
+    monkeypatch.setattr(dynamics, "MEMO_BYTES", 2 * 16 * (1 << 4))  # two 4-qubit states
+    diag, sched, path = p2_diag(), steep_schedule(), make_reverse_path(0.5, 10.0)
+
+    def run(bits):
+        return evolve(basis_state(bits), path, sched, diag, accuracy=0.05)
+
+    a, b = run("0110"), run("1001")
+    assert run("0110") is a  # a is now the most recently used
+    c = run("0101")  # evicts b
+    assert len(memo) == 2 and memo.nbytes == dynamics.MEMO_BYTES
+    assert run("0110") is a and run("0101") is c
+    assert run("1001") is not b

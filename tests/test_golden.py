@@ -1,7 +1,8 @@
 """Golden sha256 digests of fixed-config outputs.
 
-Four small runs (an SVMC sweep, an SVMC baseline, an SVMC scaling run and a
-statevector `anneal` on P3 with k=2) must reproduce their record and CSV
+Five small runs (an SVMC sweep, an SVMC baseline, an SVMC scaling run, a
+statevector `anneal` on P3 with k=2 and a 6-qubit statevector sweep, the
+benchmark's sweep-sv config at seed 0) must reproduce their record and CSV
 files byte for byte. Manifests are left out because they embed the numpy
 and scipy versions. After an intended output change, take the new digests
 from the failure report (`-vv` prints them in full) and say in CHANGES.md
@@ -18,6 +19,8 @@ from annealab.graphs import path_graph
 
 SVMC = dict(n_vertices=4, p=0.5, count=2, seed=3, backend="svmc", schedule="steep",
             s_grid=(0.44, 0.93), forward_shots=4, ra_samples=3, svmc_sweeps=20)
+STATEVECTOR = dict(n_vertices=3, count=1, seed=0, k=2, backend="statevector", schedule="steep",
+                   s_grid=(0.44, 0.72, 0.93), forward_shots=100, ra_samples=2)
 
 GOLDEN = {
     "sweep": {
@@ -25,6 +28,12 @@ GOLDEN = {
             "431cf164f729bb327880304face74525de4235cfbb95d9495e66bd185f07a925",
         "sweep_records.jsonl":
             "2316d0eb813b94c6e98d64ccb42c55fcd23eb18cd40d4ac5dfeaeb32c792fcb0",
+    },
+    "sweep_statevector": {
+        "sweep_summary.csv":
+            "f4545c2aaddc6af424897916e557312c365ae911a78968f88c08642aafd136cc",
+        "sweep_records.jsonl":
+            "b8c8665cc208f714a1aec3a6ec7cfef210cb4db868a219f4aa986cd2da79bc94",
     },
     "baseline": {
         "baseline.csv":
@@ -49,6 +58,10 @@ def _sweep(out):
     sweep_reverse_distance(ExperimentConfig(**SVMC), out)
 
 
+def _sweep_statevector(out):
+    sweep_reverse_distance(ExperimentConfig(**STATEVECTOR), out)
+
+
 def _baseline(out):
     baseline_run(ExperimentConfig(**SVMC), out)
 
@@ -66,7 +79,8 @@ def _anneal(out):
     assert cli_entry([str(a) for a in argv]) == 0
 
 
-RUNS = {"sweep": _sweep, "baseline": _baseline, "scaling": _scaling, "anneal": _anneal}
+RUNS = {"sweep": _sweep, "sweep_statevector": _sweep_statevector, "baseline": _baseline,
+        "scaling": _scaling, "anneal": _anneal}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -100,6 +100,13 @@ def test_initial_bitstring_guards(sampler):
         run(problem, linear_schedule(), make_reverse_path(0.5, 1.0), initial="01")
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_non_positive_beta_is_rejected(beta):
+    # NaN would make every Metropolis test accept, an infinite-temperature chain
+    with pytest.raises(ValueError, match="need beta > 0"):
+        svmc_run(p5_ising(), linear_schedule(), make_forward_path(1.0), beta=beta)
+
+
 def _svmc_run_reference(
     ising,
     sched,
