@@ -118,24 +118,33 @@ def _chebyshev_exp(diag_vals, a, b, n, lo, hi, psi, dt):
     ks = np.arange(n_terms + 1)
     coefs = 2.0 * (-1j) ** ks * bessel
     coefs[0] *= 0.5
-    shifted = (a * diag_vals - center) / radius
+    # numpy would cast the real diagonal on every product; the values are the same
+    shifted = ((a * diag_vals - center) / radius).astype(np.complex128)
     scale = b / radius
 
-    def hmv(x):
-        out = shifted * x
+    def hmv(x, out):
+        np.multiply(shifted, x, out=out)
         if b != 0.0:
-            out += scale * driver_apply(x)
+            hx = driver_apply(x)
+            out += np.multiply(scale, hx, out=hx)
         return out
 
+    # three rotating buffers; the coefficient product reuses the retiring
+    # T_{k-2}. Operands keep the order (scalar, array): numpy's SIMD complex
+    # multiply is not bitwise commutative.
     t_prev = psi.astype(np.complex128, copy=True)
+    t_cur = np.empty_like(t_prev)
+    t_next = np.empty_like(t_prev)
     acc = coefs[0] * t_prev
-    t_cur = hmv(t_prev)
-    acc += coefs[1] * t_cur
+    hmv(t_prev, t_cur)
+    acc += np.multiply(coefs[1], t_cur, out=t_next)
     for k in range(2, n_terms + 1):
-        t_next = 2.0 * hmv(t_cur) - t_prev
-        acc += coefs[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return np.exp(-1j * center * dt) * acc
+        hmv(t_cur, t_next)
+        np.multiply(2.0, t_next, out=t_next)
+        np.subtract(t_next, t_prev, out=t_next)
+        acc += np.multiply(coefs[k], t_next, out=t_prev)
+        t_prev, t_cur, t_next = t_cur, t_next, t_prev
+    return np.multiply(np.exp(-1j * center * dt), acc, out=acc)
 
 
 class _Memo:

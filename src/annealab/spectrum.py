@@ -13,7 +13,7 @@ Basis convention: variable i is bit i (little endian) of the basis index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,11 @@ from .schedules import Schedule
 
 DENSE_QUBIT_LIMIT = 12
 QUBIT_CAP = 20
+# driver_apply gathers the flips of the low GATHER_BITS bits block by block,
+# GATHER_BLOCK amplitudes at a time (scratch: GATHER_BITS blocks); a flip of
+# a bit below log2(GATHER_BLOCK) never leaves its block
+GATHER_BITS = 6
+GATHER_BLOCK = 1 << 12
 
 
 class SpectrumError(RuntimeError):
@@ -63,14 +68,39 @@ def build_problem_diagonal(q: QuboProblem, cap: int = QUBIT_CAP) -> ProblemDiago
     return ProblemDiagonal(q.n_vars, vals)
 
 
+@cache
+def _flip_table(k: int, width: int) -> np.ndarray:
+    """Read-only (k, width) indices: row j is arange(width) with bit j flipped.
+    One table per state size up to GATHER_BLOCK amplitudes, so the cache stays small."""
+    table = np.arange(width) ^ (1 << np.arange(k))[:, None]
+    table.flags.writeable = False
+    return table
+
+
 def driver_apply(state: np.ndarray) -> np.ndarray:
-    """(sum_j sigma^x_j) |state>: superpose all single-bit-flip images."""
+    """(sum_j sigma^x_j) |state>: superpose all single-bit-flip images.
+
+    Summation contract: each output amplitude is ((0.0 + image_0) + image_1)
+    + ... + image_{n-1}, added in IEEE order j = 0..n-1 from +0.0. The images
+    of the low GATHER_BITS bits stay within a GATHER_BLOCK-amplitude block, so
+    they are gathered with one fancy index per block and folded by
+    np.add.reduce along the image axis (initial=0.0 makes the +0.0 start
+    explicit, so an all -0.0 sum is +0.0); higher bits add their reversed
+    halves in place."""
     dim = state.shape[0]
     n = dim.bit_length() - 1
-    out = np.zeros_like(state)
-    for j in range(n):
-        v = state.reshape(-1, 2, 1 << j)
-        out += v[:, ::-1, :].reshape(dim)
+    k = min(n, GATHER_BITS)
+    width = min(dim, GATHER_BLOCK)
+    flips = _flip_table(k, width)
+    if width == dim:
+        out = np.add.reduce(state[flips], axis=0, initial=0.0)
+    else:
+        out = np.empty_like(state)
+        for r in range(0, dim, width):
+            np.add.reduce(state[r:r + width][flips], axis=0, initial=0.0, out=out[r:r + width])
+    for j in range(k, n):
+        halves = out.reshape(-1, 2, 1 << j)
+        halves += state.reshape(-1, 2, 1 << j)[:, ::-1, :]
     return out
 
 

@@ -15,6 +15,7 @@ from annealab.dynamics import (
     SLOW_TIME_SCALE,
     IntegratorError,
     QuantumState,
+    _bessel_series,
     _chebyshev_exp,
     anneal,
     basis_state,
@@ -33,6 +34,7 @@ from annealab.schedules import (
     steep_schedule,
 )
 from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
+from test_spectrum import SPECIAL_ENTRIES, _driver_apply_loop, _state, assert_same_bytes
 
 
 def p5_diag(k=2):
@@ -234,6 +236,58 @@ def test_chebyshev_series_matches_reference_term_rule(data, n, a, b, dt):
     got = _chebyshev_exp(vals, a, b, n, lo, hi, psi, dt)
     want = _chebyshev_exp_reference(vals, a, b, n, lo, hi, psi, dt)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _chebyshev_exp_unbuffered(diag_vals, a, b, n, lo, hi, psi, dt):
+    """The allocating recurrence _chebyshev_exp replaced, copied verbatim, on
+    the loop driver."""
+    driver_apply = _driver_apply_loop
+    center = 0.5 * (hi + lo)
+    radius = 0.5 * (hi - lo) + 1e-12
+    alpha = radius * dt
+    bessel = _bessel_series(alpha)
+    n_terms = bessel.size - 1
+    ks = np.arange(n_terms + 1)
+    coefs = 2.0 * (-1j) ** ks * bessel
+    coefs[0] *= 0.5
+    shifted = (a * diag_vals - center) / radius
+    scale = b / radius
+
+    def hmv(x):
+        out = shifted * x
+        if b != 0.0:
+            out += scale * driver_apply(x)
+        return out
+
+    t_prev = psi.astype(np.complex128, copy=True)
+    acc = coefs[0] * t_prev
+    t_cur = hmv(t_prev)
+    acc += coefs[1] * t_cur
+    for k in range(2, n_terms + 1):
+        t_next = 2.0 * hmv(t_cur) - t_prev
+        acc += coefs[k] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return np.exp(-1j * center * dt) * acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), a=st.floats(0.0, 2.0, allow_subnormal=True),
+       b=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       dt=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 40.0)))
+def test_chebyshev_series_matches_unbuffered_recurrence_byte_for_byte(data, n, a, b, dt):
+    # the in-place recurrence on the gather driver against the allocating one
+    # on the loop driver; diagonal and amplitudes include signed zeros and
+    # subnormals
+    def entries(bound):
+        return st.lists(st.one_of(st.sampled_from([v for v in SPECIAL_ENTRIES if abs(v) <= bound]),
+                                  st.floats(-bound, bound, allow_subnormal=True)),
+                        min_size=1 << n, max_size=1 << n)
+
+    vals = np.array(data.draw(entries(5.0)))
+    psi = _state(data.draw(entries(1.0)), data.draw(entries(1.0)))
+    lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
+    got = _chebyshev_exp(vals, a, b, n, lo, hi, psi, dt)
+    assert_same_bytes(got, _chebyshev_exp_unbuffered(vals, a, b, n, lo, hi, psi, dt))
 
 
 def test_evolve_matches_reference_series_on_sweep_problem(monkeypatch):

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from annealab.coloring_qubo import all_bitstrings, build_coloring_qubo, brute_force_solve
 from annealab.graphs import Graph, generate_er, path_graph
 from annealab.schedules import linear_schedule, steep_schedule
 from annealab.spectrum import (
+    GATHER_BLOCK,
     ProblemDiagonal,
     SpectrumError,
     SpectrumTable,
@@ -61,6 +66,71 @@ def test_driver_apply_on_basis_state():
     for j in range(n):
         expect[5 ^ (1 << j)] = 1.0
     assert np.array_equal(out, expect)
+
+
+def _driver_apply_loop(state: np.ndarray) -> np.ndarray:
+    """The loop driver_apply replaced, copied verbatim."""
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    out = np.zeros_like(state)
+    for j in range(n):
+        v = state.reshape(-1, 2, 1 << j)
+        out += v[:, ::-1, :].reshape(dim)
+    return out
+
+
+# signed zeros, subnormals and normals; driver_apply's sums must keep their bits
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -3.5)
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_ENTRIES),
+                    st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+def _state(re, im=None):
+    if im is None:
+        return np.asarray(re, dtype=np.float64)
+    state = np.empty(len(re), dtype=np.complex128)
+    state.real, state.imag = re, im  # set parts directly: keeps each zero's sign
+    return state
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), is_complex=st.booleans())
+def test_driver_apply_matches_loop_byte_for_byte(data, n, is_complex):
+    state = _state(*(data.draw(arrays(np.float64, 1 << n, elements=ENTRIES, fill=st.nothing()))
+                     for _ in range(1 + is_complex)))
+    assert_same_bytes(driver_apply(state), _driver_apply_loop(state))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("dim", [GATHER_BLOCK, 2 * GATHER_BLOCK])
+def test_driver_apply_matches_loop_across_gather_blocks(dim, dtype):
+    # exactly one gather block, then the first size that takes two
+    rng = np.random.default_rng(dim)
+    parts = []
+    for _ in range(1 if dtype is np.float64 else 2):
+        x = rng.standard_normal(dim)
+        spots = rng.random(dim) < 0.3
+        x[spots] = rng.choice(SPECIAL_ENTRIES, size=int(spots.sum()))
+        parts.append(x)
+    for state in (_state(*parts), np.full(dim, -0.0, dtype=dtype)):
+        assert_same_bytes(driver_apply(state), _driver_apply_loop(state))
+
+
+def test_driver_apply_allocates_at_most_two_and_a_half_states():
+    state = np.random.default_rng(0).standard_normal(1 << 16).astype(np.complex128)
+    driver_apply(state)  # builds the cached flip table outside the measurement
+    tracemalloc.start()
+    try:
+        driver_apply(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state.nbytes
 
 
 def test_apply_hamiltonian_matches_dense():
