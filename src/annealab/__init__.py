@@ -46,12 +46,10 @@ from .heuristic import (
 from .schedules import (
     AnnealPath,
     Schedule,
-    linear_schedule,
     make_forward_path,
     make_reverse_path,
     resolve_schedule,
     reverse_distance_grid,
-    steep_schedule,
 )
 from .spectrum import (
     ProblemDiagonal,
@@ -96,7 +94,6 @@ __all__ = [
     "greedy_color_largest_first",
     "index_to_bits",
     "is_proper_coloring",
-    "linear_schedule",
     "lowest_eigenvalues",
     "make_forward_path",
     "make_reverse_path",
@@ -108,7 +105,6 @@ __all__ = [
     "sample",
     "select_initial",
     "spectrum_sweep",
-    "steep_schedule",
     "svmc_run",
     "validate",
 ]

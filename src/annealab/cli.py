@@ -7,9 +7,8 @@ overrides on top. Every run directory gets a manifest.json.
 """
 
 import argparse
-import csv
-import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +20,11 @@ from .experiments import (
     FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
+    _write_csv,
+    _write_jsonl,
     baseline_run,
     config_hash,
-    is_manifest,
+    load_config,
     make_backend,
     prepare_out,
     scaling_run,
@@ -83,11 +84,7 @@ def cmd_generate(args) -> int:
         names.append(name)
         rows.append({"index": i, "file": name, "n_vertices": g.n_vertices,
                      "n_edges": len(g.edges), "greedy_k": k, "n_vars": g.n_vertices * k})
-    with open(out / "instances.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["index", "file", "n_vertices", "n_edges",
-                                          "greedy_k", "n_vars"])
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(out / "instances.csv", rows)
     write_manifest(out, "generate", params, names + ["instances.csv"])
     print(f"wrote {args.count} graphs to {out}")
     return 0
@@ -122,8 +119,7 @@ def cmd_anneal(args) -> int:
     run = {name: getattr(args, name) for name in ("s_prime", "max_cycles", *ANNEAL_RUN_FIELDS)}
     record = assisted_reverse_anneal(problem, make_backend(args), sched, **run)
     out = prepare_out(args.out)
-    with open(out / "anneal_record.jsonl", "w") as f:
-        f.write(record.to_jsonl() + "\n")
+    _write_jsonl(out / "anneal_record.jsonl", [record.to_dict()])
     params = dict(run, graph=args.graph, k=k, schedule=args.schedule, backend=args.backend,
                   svmc_sweeps=args.svmc_sweeps, svmc_beta=args.svmc_beta, out=str(out))
     write_manifest(out, "anneal", params, ["anneal_record.jsonl"])
@@ -132,45 +128,16 @@ def cmd_anneal(args) -> int:
     return 0
 
 
-def _load_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            loaded = json.load(f)
-        # a manifest embeds the config it ran with; accept either shape
-        data = loaded["config"] if is_manifest(loaded) else loaded
+def cmd_batch(protocol, summary, args) -> int:
+    """Run `protocol` on the --config file's config (a bare config or a
+    manifest to replay) with the given flags on top, and print one line:
+    what `summary` makes of the CSV rows, the config hash, the output."""
     overrides = {name: getattr(args, _dest(name)) for name in FIELD_TYPES
                  if getattr(args, _dest(name), None) is not None}
-    config = ExperimentConfig.from_dict(data, **overrides)
+    config = load_config(args.config, **overrides)
     resolve_schedule(config.schedule)  # fail on a missing schedule before any run
-    return config
-
-
-def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    rows = sweep_reverse_distance(config)
-    solved = sum(1 for r in rows if r["total_valid"] > 0)
-    print(f"sweep: {len(rows)} (problem, s') rows, {solved} with valid samples; "
-          f"config {config_hash(config)} -> {config.out_dir}")
-    return 0
-
-
-def cmd_scaling(args) -> int:
-    config = _load_config(args)
-    rows = scaling_run(config)
-    print(f"scaling: {len(rows)} qubit-count groups; config {config_hash(config)} "
-          f"-> {config.out_dir}")
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    config = _load_config(args)
-    rows = baseline_run(config)
-    print(f"baseline: {len(rows)} series rows; config {config_hash(config)} "
-          f"-> {config.out_dir}")
+    rows = protocol(config)
+    print(f"{args.command}: {summary(rows)}; config {config_hash(config)} -> {config.out_dir}")
     return 0
 
 
@@ -201,15 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ANNEAL_FIELDS, defaults=True)
     p.set_defaults(fn=cmd_anneal)
 
-    for name, fn, blurb in (
-        ("sweep", cmd_sweep, "reverse-distance sweep over the s' grid"),
-        ("scaling", cmd_scaling, "fixed s' = 0.44 across instance sizes"),
-        ("baseline", cmd_baseline, "assisted vs random-bitstring comparison"),
+    for name, protocol, blurb, summary in (
+        ("sweep", sweep_reverse_distance, "reverse-distance sweep over the s' grid",
+         lambda rows: f"{len(rows)} (problem, s') rows, "
+                      f"{sum(r['total_valid'] > 0 for r in rows)} with valid samples"),
+        ("scaling", scaling_run, "fixed s' = 0.44 across instance sizes",
+         lambda rows: f"{len(rows)} qubit-count groups"),
+        ("baseline", baseline_run, "assisted vs random-bitstring comparison",
+         lambda rows: f"{len(rows)} series rows"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="ExperimentConfig JSON or a manifest.json to replay")
         _add_config_flags(p, [f for f in FIELD_TYPES if f != "sizes" or name == "scaling"])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=partial(cmd_batch, protocol, summary))
     return parser
 
 def cli_entry(argv) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, is_proper_coloring
 
 # energies at or below this count as valid; exact for this feasibility QUBO,
 # whose minimum is 0 precisely on the proper colorings
@@ -122,30 +121,6 @@ class QuboProblem:
                 "var_map": [list(t) for t in self.var_map],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuboProblem":
-        obj = json.loads(text)
-        table: dict[tuple[int, int], float] = {}
-        for i, j, v in obj["entries"]:
-            a, b = min(i, j), max(i, j)
-            table[(a, b)] = table.get((a, b), 0.0) + v
-        var_map = tuple(tuple(t) for t in obj.get("var_map", []))
-        k = 1 + max((c for _, c, _ in var_map), default=-1)
-        return cls(
-            n_vars=obj["n_vars"],
-            q=tuple((i, j, v) for (i, j), v in sorted(table.items())),
-            offset=obj["offset"],
-            var_map=var_map,
-            k=k,
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "QuboProblem":
-        return cls.from_json(Path(path).read_text())
 
 
 @dataclass(frozen=True)
@@ -256,14 +231,14 @@ def validate(q: QuboProblem, bits) -> bool:
     """True iff bits decode one-hot and no source edge is monochromatic.
 
     Falls back to the energy-zero shortcut (exact for this feasibility
-    construction) when the QUBO was loaded without its source graph.
+    construction) when the QUBO carries no source graph.
     """
     if q.source is None:
         return Sample.scored(bits, q.energy(bits)).valid
     coloring = decode(q, bits)
     if isinstance(coloring, OneHotViolation):
         return False
-    return all(coloring[u] != coloring[v] for u, v in q.source.edges)
+    return is_proper_coloring(q.source, coloring)
 
 
 def all_bitstrings(n: int) -> np.ndarray:

@@ -108,7 +108,7 @@ def _bessel_series(alpha: float) -> np.ndarray:
         bessel = np.concatenate([bessel, jv(np.arange(bessel.size, bessel.size + 32), alpha)])
 
 
-def _chebyshev_exp(diag_vals, a, b, n, lo, hi, psi, dt):
+def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):
     """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
@@ -218,7 +218,7 @@ def evolve(
             b = float(sched.b(smid))
             lo = a * dmin - b * n
             hi = a * dmax + b * n
-            psi = _chebyshev_exp(diag.values, a, b, n, lo, hi, psi, dt)
+            psi = _chebyshev_exp(diag.values, a, b, lo, hi, psi, dt)
         norm = float(np.linalg.norm(psi))
         drift = abs(norm - 1.0)
         if drift > DRIFT_BOUND:

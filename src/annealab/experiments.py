@@ -181,10 +181,15 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def make_backend(config):
     """Backend named by config.backend; reads svmc_sweeps and svmc_beta, so
-    parsed CLI arguments work as well as an ExperimentConfig."""
+    parsed CLI arguments work as well as an ExperimentConfig. The rotor
+    sampler runs with them whether it is named or swapped in past the
+    statevector cap."""
+    svmc = SvmcBackend(sweeps_per_waypoint=config.svmc_sweeps, beta=config.svmc_beta)
     if config.backend == "svmc":
-        return SvmcBackend(sweeps_per_waypoint=config.svmc_sweeps, beta=config.svmc_beta)
-    return StatevectorBackend()
+        return svmc
+    backend = StatevectorBackend()
+    backend.fallback = svmc
+    return backend
 
 
 def instance(config: ExperimentConfig, i: int, size: int | None = None) -> QuboProblem:
@@ -410,15 +415,16 @@ def write_manifest(out_dir, command: str, params: dict, outputs):
         f.write("\n")
 
 
-def is_manifest(data) -> bool:
-    """Whether parsed JSON is a run manifest rather than a bare config."""
-    return isinstance(data, dict) and "config" in data and "command" in data
-
-
-def load_manifest_config(path) -> tuple[str, ExperimentConfig]:
-    """(command, config) from a manifest written by write_manifest."""
-    with open(path) as f:
-        data = json.load(f)
-    if not is_manifest(data):
-        raise ConfigError(f"{path} is not a run manifest")
-    return data["command"], ExperimentConfig.from_dict(data["config"])
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Config from a JSON file holding a bare config or a run manifest (whose
+    embedded config replays the run bit for bit), `overrides` on top; path
+    None starts from the defaults."""
+    data = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and "config" in data and "command" in data:
+            data = data["config"]
+    return ExperimentConfig.from_dict(data, **overrides)

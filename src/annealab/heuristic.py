@@ -38,6 +38,9 @@ class StatevectorBackend:
 
     def __init__(self):
         self._diag_cache: dict[QuboProblem, object] = {}
+        # what resolve_backend swaps in past max_qubits; experiments.make_backend
+        # gives it the run's SVMC settings
+        self.fallback = SvmcBackend()
 
     def _diag(self, problem: QuboProblem):
         # build_problem_diagonal refuses problems past max_qubits
@@ -112,10 +115,11 @@ class SvmcBackend:
 
 
 def resolve_backend(problem: QuboProblem, backend):
-    """Swap in the rotor sampler when the problem exceeds the backend cap."""
+    """Swap in the backend's fallback rotor sampler when the problem exceeds
+    its cap."""
     cap = getattr(backend, "max_qubits", None)
     if cap is not None and problem.n_vars > cap:
-        return SvmcBackend(), True
+        return backend.fallback, True
     return backend, False
 
 

@@ -104,16 +104,20 @@ def driver_apply(state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _h_matvec(a_diag: np.ndarray, b: float, state: np.ndarray) -> np.ndarray:
+    """a_diag * state + b * driver_apply(state), a_diag being a(s) times the
+    problem diagonal: the H(s) matvec of apply_hamiltonian and the eigensolver."""
+    out = a_diag * state
+    if b != 0.0:
+        out = out + b * driver_apply(state)
+    return out
+
+
 def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: np.ndarray) -> np.ndarray:
     """H(s)|state>, matrix-free in O(n 2^n)."""
     if state.shape != diag.values.shape:
         raise ValueError(f"state shape {state.shape} does not match {diag.values.shape}")
-    a = float(sched.a(s))
-    b = float(sched.b(s))
-    out = (a * diag.values) * state
-    if b != 0.0:
-        out = out + b * driver_apply(state)
-    return out
+    return _h_matvec(float(sched.a(s)) * diag.values, float(sched.b(s)), state)
 
 
 def dense_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal) -> np.ndarray:
@@ -142,13 +146,9 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int 
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
         h = dense_hamiltonian(s, sched, diag)
         return scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, m - 1))
-    a = float(sched.a(s))
+    a_diag = float(sched.a(s)) * diag.values
     b = float(sched.b(s))
-    op = LinearOperator(
-        (dim, dim),
-        matvec=lambda x: (a * diag.values) * x + b * driver_apply(x),
-        dtype=np.float64,
-    )
+    op = LinearOperator((dim, dim), matvec=lambda x: _h_matvec(a_diag, b, x), dtype=np.float64)
     last_residual = np.nan
     for attempt in range(3):
         v0 = np.random.default_rng(20_000 + attempt).standard_normal(dim)

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from annealab import svmc
 from annealab.cli import build_parser, cli_entry
 from annealab.experiments import ExperimentConfig
 from annealab.graphs import Graph, generate_er
@@ -144,6 +145,28 @@ def test_anneal_writes_record_and_reports_outcome(tmp_path, p5_file, capsys):
     assert rec["outcome"].startswith("solved-by-")
 
 
+def test_anneal_past_the_statevector_cap_keeps_the_svmc_settings(tmp_path, p5_file, capsys,
+                                                                  monkeypatch):
+    # at k=5 P5 has 25 variables, so the rotor sampler stands in for the
+    # statevector backend, with the run's --svmc-sweeps and --svmc-beta
+    settings = set()
+    svmc_run = svmc.svmc_run
+
+    def spy(*args, **kwargs):
+        settings.add((kwargs["sweeps_per_waypoint"], kwargs["beta"]))
+        return svmc_run(*args, **kwargs)
+
+    monkeypatch.setattr(svmc, "svmc_run", spy)
+    out = tmp_path / "run"
+    code, _, err = run(["anneal", "--graph", p5_file, "--k", 5, "--svmc-sweeps", 7,
+                        "--svmc-beta", 3.0, "--forward-shots", 2, "--max-cycles", 1,
+                        "--out", out], capsys)
+    assert (code, err) == (0, "")
+    rec = json.loads((out / "anneal_record.jsonl").read_text())
+    assert (rec["backend_kind"], rec["backend_substituted"]) == ("svmc", True)
+    assert settings == {(7, 3.0)}
+
+
 def test_sweep_from_config_file_with_overrides(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
@@ -175,6 +198,27 @@ def test_manifest_replay_is_bit_exact(tmp_path, capsys):
     assert code == 0
     for name in ("sweep_summary.csv", "sweep_records.jsonl"):
         assert (first / name).read_bytes() == (replay / name).read_bytes()
+
+
+BATCH = ["--count", 1, "--backend", "svmc", "--forward-shots", 3, "--ra-samples", 2,
+         "--svmc-sweeps", 20]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "--n-vertices", 4, "--count", 2, "--seed", 9, "--backend", "svmc",
+      "--schedule", "steep", "--s-grid", 0.44, 0.72, "--forward-shots", 4, "--ra-samples", 2,
+      "--svmc-sweeps", 25],
+     "sweep: 4 (problem, s') rows, 4 with valid samples; config 619f0be5ce5c -> {out}"),
+    (["scaling", "--sizes", 3, 4, "--s-grid", 0.44, *BATCH],
+     "scaling: 2 qubit-count groups; config 61501d98531f -> {out}"),
+    (["baseline", "--n-vertices", 4, "--s-grid", 0.44, 0.72, *BATCH],
+     "baseline: 4 series rows; config addb8d97083e -> {out}"),
+], ids=["sweep", "scaling", "baseline"])
+def test_batch_commands_print_one_summary_line(tmp_path, capsys, argv, line):
+    out = tmp_path / argv[0]
+    code, stdout, err = run([*argv, "--out", out], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == line.format(out=out) + "\n"
 
 
 def test_unknown_config_field_fails(tmp_path, capsys):

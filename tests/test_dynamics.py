@@ -26,13 +26,7 @@ from annealab.dynamics import (
 )
 from annealab.experiments import ExperimentConfig, instance
 from annealab.graphs import Graph, complete_graph, path_graph
-from annealab.schedules import (
-    AnnealPath,
-    linear_schedule,
-    make_forward_path,
-    make_reverse_path,
-    steep_schedule,
-)
+from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
 from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
 from test_spectrum import SPECIAL_ENTRIES, _driver_apply_loop, _state, assert_same_bytes
 
@@ -58,7 +52,7 @@ def test_driver_ground_signs_follow_bit_parity():
 def test_driver_ground_is_eigenstate_at_s_zero():
     # at s=0 the Hamiltonian is the bare driver; eigenvalue is -n
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     st = driver_ground(10)
     hpsi = apply_hamiltonian(0.0, sched, diag, st.amplitudes)
     assert np.allclose(hpsi, -10.0 * st.amplitudes, atol=1e-12)
@@ -67,7 +61,7 @@ def test_driver_ground_is_eigenstate_at_s_zero():
 
 def test_basis_state_energy_matches_diagonal():
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     bits = "0110100101"
     st = basis_state(bits)
     assert st.amplitudes[bits_to_index(bits)] == 1.0
@@ -95,7 +89,7 @@ def test_sample_is_deterministic_and_unbiased():
 
 def test_pause_leaves_driver_ground_alone():
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     st = driver_ground(10)
     hold = AnnealPath(np.array([0.0, 30.0]), np.array([0.0, 0.0]))
     out = evolve(st, hold, sched, diag)
@@ -109,7 +103,7 @@ def test_pause_leaves_driver_ground_alone():
 def test_pause_conserves_energy_mid_spectrum():
     # a superposition held at fixed s keeps <H> to rounding precision
     diag = p5_diag()
-    sched = steep_schedule()
+    sched = resolve_schedule("steep")
     mix = (driver_ground(10).amplitudes + basis_state("0110011000").amplitudes) / math.sqrt(2.0)
     st = QuantumState(10, mix / np.linalg.norm(mix))
     hold = AnnealPath(np.array([0.0, 25.0]), np.array([0.44, 0.44]))
@@ -122,7 +116,7 @@ def test_pause_conserves_energy_mid_spectrum():
 
 def test_vanishing_duration_is_identity():
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     st = driver_ground(10)
     out = evolve(st, make_forward_path(1e-9), sched, diag)
     assert np.allclose(out.amplitudes, st.amplitudes, atol=1e-9)
@@ -130,7 +124,7 @@ def test_vanishing_duration_is_identity():
 
 def test_norm_drift_stays_within_bound():
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     out = evolve(driver_ground(10), make_forward_path(50.0), sched, diag)
     assert out.norm_drift <= DRIFT_BOUND
 
@@ -138,7 +132,7 @@ def test_norm_drift_stays_within_bound():
 def test_reversed_path_undoes_evolution_up_to_conjugation():
     # evolving conj(psi1) along the mirrored path and conjugating recovers psi0
     diag = build_problem_diagonal(build_coloring_qubo(complete_graph(3), 2))
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     path = make_forward_path(20.0)
     psi0 = driver_ground(6)
     psi1 = evolve(psi0, path, sched, diag)
@@ -149,7 +143,7 @@ def test_reversed_path_undoes_evolution_up_to_conjugation():
 def test_forward_anneal_solves_single_vertex():
     g = Graph(1, ())
     diag = build_problem_diagonal(build_coloring_qubo(g, 1))
-    out = anneal(diag, linear_schedule(), make_forward_path(20.0), shots=50, seed=3,
+    out = anneal(diag, resolve_schedule("linear"), make_forward_path(20.0), shots=50, seed=3,
                  time_scale=SLOW_TIME_SCALE)
     assert sum(s.bits == "1" for s in out) == 50
     assert all(s.valid and s.energy == 0.0 for s in out)
@@ -158,7 +152,7 @@ def test_forward_anneal_solves_single_vertex():
 def test_slow_forward_anneal_lands_on_proper_colorings():
     diag = p5_diag()
     out = anneal(
-        diag, linear_schedule(), make_forward_path(100.0), shots=100, seed=11,
+        diag, resolve_schedule("linear"), make_forward_path(100.0), shots=100, seed=11,
         time_scale=SLOW_TIME_SCALE,
     )
     assert sum(s.valid for s in out) >= 80
@@ -166,7 +160,7 @@ def test_slow_forward_anneal_lands_on_proper_colorings():
 
 def test_shallow_reverse_anneal_returns_the_seed():
     diag = p5_diag()
-    sched = steep_schedule()
+    sched = resolve_schedule("steep")
     path = make_reverse_path(0.97, 1.0)
     out = anneal(diag, sched, path, "0101101010", shots=50, seed=2, time_scale=0.1)
     assert all(s.bits == "0101101010" for s in out)
@@ -175,19 +169,19 @@ def test_shallow_reverse_anneal_returns_the_seed():
 def test_reverse_anneal_rejects_forward_path():
     diag = p5_diag()
     with pytest.raises(ValueError, match="forward path takes no initial"):
-        anneal(diag, steep_schedule(), make_forward_path(10.0), "0" * 10)
+        anneal(diag, resolve_schedule("steep"), make_forward_path(10.0), "0" * 10)
 
 
 def test_evolve_guards():
     diag = p5_diag()
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     with pytest.raises(ValueError):
         evolve(driver_ground(4), make_forward_path(1.0), sched, diag)
     with pytest.raises(ValueError):
         evolve(driver_ground(10), make_forward_path(1.0), sched, diag, accuracy=0.0)
 
 
-def _chebyshev_exp_reference(diag_vals, a, b, n, lo, hi, psi, dt):
+def _chebyshev_exp_reference(diag_vals, a, b, lo, hi, psi, dt):
     """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
@@ -233,12 +227,12 @@ def test_chebyshev_series_matches_reference_term_rule(data, n, a, b, dt):
     norm = np.linalg.norm(psi)
     psi = psi / norm if norm > 0 else basis_state("0" * n).amplitudes
     lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
-    got = _chebyshev_exp(vals, a, b, n, lo, hi, psi, dt)
-    want = _chebyshev_exp_reference(vals, a, b, n, lo, hi, psi, dt)
+    got = _chebyshev_exp(vals, a, b, lo, hi, psi, dt)
+    want = _chebyshev_exp_reference(vals, a, b, lo, hi, psi, dt)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-def _chebyshev_exp_unbuffered(diag_vals, a, b, n, lo, hi, psi, dt):
+def _chebyshev_exp_unbuffered(diag_vals, a, b, lo, hi, psi, dt):
     """The allocating recurrence _chebyshev_exp replaced, copied verbatim, on
     the loop driver."""
     driver_apply = _driver_apply_loop
@@ -286,15 +280,15 @@ def test_chebyshev_series_matches_unbuffered_recurrence_byte_for_byte(data, n, a
     vals = np.array(data.draw(entries(5.0)))
     psi = _state(data.draw(entries(1.0)), data.draw(entries(1.0)))
     lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
-    got = _chebyshev_exp(vals, a, b, n, lo, hi, psi, dt)
-    assert_same_bytes(got, _chebyshev_exp_unbuffered(vals, a, b, n, lo, hi, psi, dt))
+    got = _chebyshev_exp(vals, a, b, lo, hi, psi, dt)
+    assert_same_bytes(got, _chebyshev_exp_unbuffered(vals, a, b, lo, hi, psi, dt))
 
 
 def test_evolve_matches_reference_series_on_sweep_problem(monkeypatch):
     # the benchmark's 6-qubit sweep problem: forward, then reverse at each s'
     # of its grid, against evolve run on the reference series
     diag = build_problem_diagonal(instance(ExperimentConfig(n_vertices=3, count=1, k=2), 0))
-    sched = steep_schedule()
+    sched = resolve_schedule("steep")
     fwd = evolve(driver_ground(6), make_forward_path(100.0), sched, diag,
                  time_scale=SLOW_TIME_SCALE)
     seed = basis_state(index_to_bits(int(np.argmax(fwd.probabilities())), 6))
@@ -321,7 +315,7 @@ def p2_diag():
 
 
 def test_evolve_memo_returns_one_read_only_state_for_equal_inputs(memo):
-    diag, sched, path = p2_diag(), steep_schedule(), make_reverse_path(0.5, 10.0)
+    diag, sched, path = p2_diag(), resolve_schedule("steep"), make_reverse_path(0.5, 10.0)
     first = evolve(basis_state("0110"), path, sched, diag, accuracy=0.05)
     again = evolve(QuantumState(4, basis_state("0110").amplitudes.copy()), path, sched, diag,
                    accuracy=0.05)
@@ -333,7 +327,7 @@ def test_evolve_memo_returns_one_read_only_state_for_equal_inputs(memo):
 
 @pytest.mark.parametrize("change", ["amplitudes", "path", "accuracy", "time_scale"])
 def test_evolve_memo_misses_on_any_changed_input(memo, change):
-    diag, sched = p2_diag(), steep_schedule()
+    diag, sched = p2_diag(), resolve_schedule("steep")
     base = dict(state=basis_state("0110"), path=make_reverse_path(0.5, 10.0),
                 sched=sched, diag=diag, accuracy=0.05, time_scale=1.0)
     other = dict(base, **{"amplitudes": {"state": basis_state("1001")},
@@ -348,7 +342,7 @@ def test_evolve_memo_misses_on_any_changed_input(memo, change):
 
 def test_evolve_memo_evicts_least_recently_used_first(memo, monkeypatch):
     monkeypatch.setattr(dynamics, "MEMO_BYTES", 2 * 16 * (1 << 4))  # two 4-qubit states
-    diag, sched, path = p2_diag(), steep_schedule(), make_reverse_path(0.5, 10.0)
+    diag, sched, path = p2_diag(), resolve_schedule("steep"), make_reverse_path(0.5, 10.0)
 
     def run(bits):
         return evolve(basis_state(bits), path, sched, diag, accuracy=0.05)

@@ -12,12 +12,13 @@ from annealab.experiments import (
     baseline_run,
     config_hash,
     instance,
-    load_manifest_config,
+    load_config,
+    make_backend,
     scaling_run,
     sweep_reverse_distance,
 )
 from annealab.coloring_qubo import validate
-from annealab.heuristic import problem_id
+from annealab.heuristic import problem_id, resolve_backend
 from annealab.schedules import reverse_distance_grid
 
 
@@ -229,8 +230,9 @@ def test_baseline_emits_both_series_with_shared_chain_seeds(tmp_path):
 def test_manifest_replay_roundtrip(tmp_path):
     cfg = tiny_config()
     sweep_reverse_distance(cfg, tmp_path)
-    command, loaded = load_manifest_config(tmp_path / "manifest.json")
-    assert command == "sweep"
+    manifest = tmp_path / "manifest.json"
+    assert json.loads(manifest.read_text())["command"] == "sweep"
+    loaded = load_config(manifest)
     assert loaded == cfg
     other = tmp_path / "replay"
     sweep_reverse_distance(loaded, other)
@@ -238,8 +240,22 @@ def test_manifest_replay_roundtrip(tmp_path):
         (tmp_path / "sweep_records.jsonl").read_bytes()
 
 
-def test_manifest_loader_rejects_non_manifest(tmp_path):
-    p = tmp_path / "x.json"
-    p.write_text('{"n_vertices": 4}')
-    with pytest.raises(ConfigError, match="manifest"):
-        load_manifest_config(p)
+def test_config_loader_reads_a_bare_config_or_a_manifest_with_overrides(tmp_path):
+    bare = tmp_path / "config.json"
+    bare.write_text(json.dumps(tiny_config().to_dict()))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "config": tiny_config().to_dict()}))
+    for path in (bare, manifest):
+        assert load_config(path) == tiny_config()
+        assert load_config(path, seed=4, out_dir="x") == tiny_config(seed=4, out_dir="x")
+    assert load_config(None, count=3) == ExperimentConfig(count=3)
+    with pytest.raises(ConfigError, match="config file not found"):
+        load_config(tmp_path / "missing.json")
+
+
+def test_substituted_rotor_sampler_keeps_the_run_settings():
+    big = instance(tiny_config(n_vertices=5, k=5), 0)  # 25 variables
+    backend, substituted = resolve_backend(big, make_backend(
+        tiny_config(backend="statevector", svmc_sweeps=7, svmc_beta=3.0)))
+    assert substituted
+    assert (backend.kind, backend.sweeps_per_waypoint, backend.beta) == ("svmc", 7, 3.0)

@@ -30,7 +30,7 @@ from annealab.heuristic import (
     run_chain,
     select_initial,
 )
-from annealab.schedules import linear_schedule, make_reverse_path, steep_schedule
+from annealab.schedules import make_reverse_path, resolve_schedule
 
 
 P5 = build_coloring_qubo(path_graph(5), 2)
@@ -104,7 +104,7 @@ def test_feed_last_chains_outputs():
     e3 = bits_at_energy(P5, 3.0)
     backend = ScriptedBackend(P5, [[e3], [e1], [e2]])
     path = make_reverse_path(0.5, 1.0)
-    cycles = run_chain(P5, backend, steep_schedule(), path, e2, 3, seed=0,
+    cycles = run_chain(P5, backend, resolve_schedule("steep"), path, e2, 3, seed=0,
                        policy=FEED_LAST, halt_on_valid=False)
     assert backend.inputs == [e2, e3, e1]
     assert [c.input_bits for c in cycles] == [e2, e3, e1]
@@ -117,7 +117,7 @@ def test_keep_best_refeeds_best_seen():
     e3 = bits_at_energy(P5, 3.0)
     backend = ScriptedBackend(P5, [[e3], [e1], [e3]])
     path = make_reverse_path(0.5, 1.0)
-    run_chain(P5, backend, steep_schedule(), path, e2, 3, seed=0,
+    run_chain(P5, backend, resolve_schedule("steep"), path, e2, 3, seed=0,
               policy=KEEP_BEST, halt_on_valid=False)
     # seed e2 beats the first output e3; the e1 output then takes over
     assert backend.inputs == [e2, e2, e1]
@@ -128,7 +128,7 @@ def test_within_cycle_selection_keeps_lowest_energy():
     e3 = bits_at_energy(P5, 3.0)
     backend = ScriptedBackend(P5, [[e3, e1]])
     path = make_reverse_path(0.5, 1.0)
-    cycles = run_chain(P5, backend, steep_schedule(), path, e3, 1, seed=0,
+    cycles = run_chain(P5, backend, resolve_schedule("steep"), path, e3, 1, seed=0,
                        shots_per_cycle=2, halt_on_valid=False)
     assert cycles[0].output_bits == e1
 
@@ -138,14 +138,14 @@ def test_chain_halts_on_first_valid():
     e1 = bits_at_energy(P5, 1.0)
     backend = ScriptedBackend(P5, [[e1], [ground], [e1]])
     path = make_reverse_path(0.5, 1.0)
-    cycles = run_chain(P5, backend, steep_schedule(), path, e1, 3, seed=0)
+    cycles = run_chain(P5, backend, resolve_schedule("steep"), path, e1, 3, seed=0)
     assert len(cycles) == 2
     assert cycles[-1].valid
 
 
 def test_solved_by_forward_has_no_cycles():
     rec = assisted_reverse_anneal(
-        P5, StatevectorBackend(), linear_schedule(), s_prime=0.5,
+        P5, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
         forward_shots=20, max_cycles=10, seed=1,
     )
     assert rec.outcome == OUTCOME_FORWARD
@@ -158,7 +158,7 @@ def test_solved_by_forward_has_no_cycles():
 def test_zero_cycle_budget_reports_exhausted_with_seed():
     # starved forward: fast ramp leaves an essentially uniform distribution
     rec = assisted_reverse_anneal(
-        P5, StatevectorBackend(), steep_schedule(), s_prime=0.44,
+        P5, StatevectorBackend(), resolve_schedule("steep"), s_prime=0.44,
         forward_shots=5, max_cycles=0, seed=0, forward_time_scale=0.02,
     )
     assert rec.forward["valid_count"] == 0
@@ -171,7 +171,7 @@ def test_zero_cycle_budget_reports_exhausted_with_seed():
 def test_statevector_cap_is_enforced():
     big = build_coloring_qubo(path_graph(5), 5)  # 25 vars
     with pytest.raises(ValueError, match="capped at 20 qubits"):
-        StatevectorBackend().forward(big, linear_schedule(), shots=1)
+        StatevectorBackend().forward(big, resolve_schedule("linear"), shots=1)
 
 
 def test_oversize_problem_falls_back_to_rotor_backend():
@@ -179,7 +179,7 @@ def test_oversize_problem_falls_back_to_rotor_backend():
     backend, swapped = resolve_backend(big, StatevectorBackend())
     assert swapped and backend.kind == "svmc"
     rec = assisted_reverse_anneal(
-        big, StatevectorBackend(), linear_schedule(), s_prime=0.5,
+        big, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
         forward_shots=2, max_cycles=1, seed=0,
     )
     assert rec.backend_kind == "svmc"
@@ -188,7 +188,7 @@ def test_oversize_problem_falls_back_to_rotor_backend():
 
 def test_statevector_time_scale_none_means_the_defaults():
     q = build_coloring_qubo(path_graph(2), 2)
-    backend, sched = StatevectorBackend(), steep_schedule()
+    backend, sched = StatevectorBackend(), resolve_schedule("steep")
     assert backend.forward(q, sched, shots=20, seed=3, time_scale=None) == \
         backend.forward(q, sched, shots=20, seed=3, time_scale=SLOW_TIME_SCALE)
     path = make_reverse_path(0.5, 100.0)
@@ -199,7 +199,7 @@ def test_statevector_time_scale_none_means_the_defaults():
 
 def test_backend_validity_flags_match_oracle():
     out = SvmcBackend(sweeps_per_waypoint=50).forward(
-        P5, linear_schedule(), shots=10, seed=3
+        P5, resolve_schedule("linear"), shots=10, seed=3
     )
     for s in out:
         assert s.valid == validate(P5, s.bits)
@@ -207,13 +207,13 @@ def test_backend_validity_flags_match_oracle():
 
 def test_svmc_backend_runs_match_statevector_schema():
     rec = assisted_reverse_anneal(
-        P5, SvmcBackend(sweeps_per_waypoint=50), steep_schedule(), s_prime=0.44,
+        P5, SvmcBackend(sweeps_per_waypoint=50), resolve_schedule("steep"), s_prime=0.44,
         forward_shots=4, max_cycles=2, seed=9,
     )
     assert rec.backend_kind == "svmc"
     assert set(rec.to_dict()) == set(
         assisted_reverse_anneal(
-            P5, StatevectorBackend(), linear_schedule(), s_prime=0.5,
+            P5, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
             forward_shots=4, max_cycles=0, seed=9,
         ).to_dict()
     )
@@ -221,7 +221,7 @@ def test_svmc_backend_runs_match_statevector_schema():
 
 def test_chain_integrity_in_real_records():
     rec = assisted_reverse_anneal(
-        P5, SvmcBackend(sweeps_per_waypoint=30), steep_schedule(), s_prime=0.44,
+        P5, SvmcBackend(sweeps_per_waypoint=30), resolve_schedule("steep"), s_prime=0.44,
         forward_shots=3, max_cycles=4, seed=2, forward_time_scale=None,
     )
     if rec.cycles:
@@ -245,7 +245,7 @@ def test_record_outcome_invariants():
 
 def test_record_serializes_to_jsonl():
     rec = assisted_reverse_anneal(
-        P5, StatevectorBackend(), linear_schedule(), s_prime=0.5,
+        P5, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
         forward_shots=10, max_cycles=0, seed=1,
     )
     loaded = json.loads(rec.to_jsonl())

@@ -7,18 +7,24 @@ from annealab.schedules import (
     AnnealPath,
     Schedule,
     ScheduleError,
-    linear_schedule,
-    load_bundled,
     make_forward_path,
     make_reverse_path,
     resolve_schedule,
     reverse_distance_grid,
-    steep_schedule,
 )
+
+LINEAR = resolve_schedule("linear")
+STEEP = resolve_schedule("steep")
+
+
+def table_text(s, b) -> str:
+    """CSV text of the table a = s, b on the given s grid."""
+    rows = (f"{float(x)!r},{float(x)!r},{float(y)!r}\n" for x, y in zip(s, b))
+    return "s,a,b\n" + "".join(rows)
 
 
 def test_linear_endpoints_and_midpoint():
-    sch = linear_schedule()
+    sch = LINEAR
     assert sch.a(0.0) == pytest.approx(0.0)
     assert sch.b(0.0) == pytest.approx(1.0)
     assert sch.a(1.0) == pytest.approx(1.0)
@@ -28,24 +34,23 @@ def test_linear_endpoints_and_midpoint():
 
 
 def test_steep_driver_collapse():
-    sch = steep_schedule()
+    sch = STEEP
     assert sch.b(0.75) == pytest.approx(0.25**4)
     assert sch.b(0.5) == pytest.approx(0.5**4)
     assert sch.a(0.75) == pytest.approx(0.75)
     # strictly below linear in the interior
     s = np.linspace(0.05, 0.95, 19)
-    assert np.all(sch.b(s) < linear_schedule().b(s))
+    assert np.all(sch.b(s) < LINEAR.b(s))
 
 
-def test_bundled_match_constructors():
-    for name, maker in [("linear", linear_schedule), ("steep", steep_schedule)]:
-        sch = load_bundled(name)
-        ref = maker()
-        assert sch.s_grid.shape == (201,)
-        assert np.allclose(sch.a_vals, ref.a_vals)
-        assert np.allclose(sch.b_vals, ref.b_vals)
-    with pytest.raises(ScheduleError):
-        load_bundled("bogus")
+def test_bundled_tables_match_closed_forms():
+    s = np.linspace(0.0, 1.0, 201)
+    for sch, b in ((LINEAR, 1.0 - s), (STEEP, (1.0 - s) ** 4)):
+        assert np.allclose(sch.s_grid, s, rtol=0.0, atol=1e-15)
+        assert np.allclose(sch.a_vals, s, rtol=0.0, atol=1e-15)
+        assert np.allclose(sch.b_vals, b, rtol=0.0, atol=1e-15)
+    with pytest.raises(ScheduleError, match="not found: bogus"):
+        resolve_schedule("bogus")
 
 
 def test_loader_normalizes():
@@ -71,13 +76,16 @@ def test_loader_rejects_bad_tables():
 
 
 def test_csv_roundtrip(tmp_path):
-    sch = steep_schedule(num=51)
+    grid = np.linspace(0.0, 1.0, 51)
     f = tmp_path / "sched.csv"
-    sch.to_csv(f)
+    f.write_text(table_text(grid, (1.0 - grid) ** 4))
     back = Schedule.from_csv(f)
+    assert back.name == "sched"
+    assert back.s_grid.tobytes() == grid.tobytes()
+    assert back.b_vals.tobytes() == ((1.0 - grid) ** 4).tobytes()
     s = np.linspace(0, 1, 97)
-    assert np.allclose(back.a(s), sch.a(s))
-    assert np.allclose(back.b(s), sch.b(s))
+    assert np.allclose(back.a(s), STEEP.a(s))
+    assert np.allclose(back.b(s), STEEP.b(s), rtol=0.0, atol=1e-3)
 
 
 def test_make_forward_path():
@@ -156,7 +164,7 @@ def test_reverse_distance_grid():
 def test_resolve_schedule(tmp_path):
     assert resolve_schedule("steep").name == "steep"
     f = tmp_path / "mine.csv"
-    load_bundled("linear").to_csv(f)
+    f.write_text(table_text(LINEAR.s_grid, LINEAR.b_vals))
     assert resolve_schedule(str(f)).a(0.5) == pytest.approx(0.5)
     with pytest.raises(ScheduleError, match="not found"):
         resolve_schedule(str(tmp_path / "missing.csv"))
@@ -164,7 +172,8 @@ def test_resolve_schedule(tmp_path):
 
 def test_load_schedule_is_file_loader(tmp_path):
     f = tmp_path / "lin.csv"
-    linear_schedule(num=11).to_csv(f)
+    grid = np.linspace(0.0, 1.0, 11)
+    f.write_text(table_text(grid, 1.0 - grid))
     assert resolve_schedule(str(f)).b(0.25) == pytest.approx(0.75)
 
 

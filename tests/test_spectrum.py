@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from annealab.coloring_qubo import all_bitstrings, build_coloring_qubo, brute_force_solve
 from annealab.graphs import Graph, generate_er, path_graph
-from annealab.schedules import linear_schedule, steep_schedule
+from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
     GATHER_BLOCK,
     ProblemDiagonal,
@@ -25,7 +25,7 @@ from annealab.spectrum import (
     spectrum_sweep,
 )
 
-LIN = linear_schedule()
+LIN = resolve_schedule("linear")
 
 
 def test_diagonal_matches_energy_enumeration():
@@ -264,7 +264,7 @@ def test_min_gap_locations_linear_vs_steep():
     diag = build_problem_diagonal(q)
     grid = np.linspace(0.0, 1.0, 41)
     t_lin = spectrum_sweep(LIN, diag, grid=grid, m=4)
-    t_steep = spectrum_sweep(steep_schedule(), diag, grid=grid, m=4)
+    t_steep = spectrum_sweep(resolve_schedule("steep"), diag, grid=grid, m=4)
     s_lin, gap_lin = min_gap(t_lin)
     s_steep, gap_steep = min_gap(t_steep)
     assert 0.0 < s_lin < 1.0 and gap_lin > 0.0

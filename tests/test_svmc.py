@@ -18,7 +18,7 @@ from annealab.coloring_qubo import (
 )
 from annealab.dynamics import anneal
 from annealab.graphs import path_graph
-from annealab.schedules import AnnealPath, linear_schedule, make_forward_path, make_reverse_path, steep_schedule
+from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
 from annealab.spectrum import build_problem_diagonal
 from annealab.svmc import _SWEEP_BLOCK, DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT, svmc_run
 
@@ -29,7 +29,7 @@ def p5_ising():
 
 def test_single_spin_ground_state_from_field_sign():
     one = IsingProblem(1, (-1.0,), (), 0.0)
-    out = svmc_run(one, linear_schedule(), make_forward_path(1.0),
+    out = svmc_run(one, resolve_schedule("linear"), make_forward_path(1.0),
                    sweeps_per_waypoint=200, beta=50.0, seed=1)
     assert out.bits == "0"
     assert out.energy == -1.0
@@ -37,9 +37,9 @@ def test_single_spin_ground_state_from_field_sign():
 
 def test_deterministic_per_seed():
     ising = p5_ising()
-    a = svmc_run(ising, linear_schedule(), make_forward_path(1.0),
+    a = svmc_run(ising, resolve_schedule("linear"), make_forward_path(1.0),
                  sweeps_per_waypoint=50, beta=10.0, seed=42)
-    b = svmc_run(ising, linear_schedule(), make_forward_path(1.0),
+    b = svmc_run(ising, resolve_schedule("linear"), make_forward_path(1.0),
                  sweeps_per_waypoint=50, beta=10.0, seed=42)
     assert a == b
 
@@ -48,7 +48,7 @@ def test_forward_validity_calibrated():
     # calibration artifact: >= 60% valid on P5/k=2 at these settings
     ising = p5_ising()
     path = make_forward_path(1.0)
-    sched = linear_schedule()
+    sched = resolve_schedule("linear")
     ok = sum(
         svmc_run(ising, sched, path, sweeps_per_waypoint=500, beta=10.0, seed=k).valid
         for k in range(50)
@@ -65,7 +65,7 @@ def test_shallow_reverse_keeps_ground_bits_calibrated():
     seedbits = grounds[0]
     path = make_reverse_path(0.95, 1.0)
     stay = sum(
-        svmc_run(ising, steep_schedule(), path, initial=seedbits,
+        svmc_run(ising, resolve_schedule("steep"), path, initial=seedbits,
                  sweeps_per_waypoint=300, beta=15.0, seed=k).bits == seedbits
         for k in range(40)
     )
@@ -81,7 +81,7 @@ def test_cold_chain_never_climbs_at_end_of_schedule():
     e0 = q.energy(start)
     hold = AnnealPath(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     for seed in range(5):
-        out = svmc_run(ising, linear_schedule(), hold, initial=start,
+        out = svmc_run(ising, resolve_schedule("linear"), hold, initial=start,
                        sweeps_per_waypoint=100, beta=1e3, seed=seed)
         assert out.energy <= e0
 
@@ -93,18 +93,18 @@ def test_initial_bitstring_guards(sampler):
     problem = qubo_to_ising(q) if sampler == "svmc_run" else build_problem_diagonal(q)
     run = svmc_run if sampler == "svmc_run" else anneal
     with pytest.raises(ValueError, match="reverse path needs an initial bitstring"):
-        run(problem, linear_schedule(), make_reverse_path(0.5, 1.0))
+        run(problem, resolve_schedule("linear"), make_reverse_path(0.5, 1.0))
     with pytest.raises(ValueError, match="forward path takes no initial bitstring"):
-        run(problem, linear_schedule(), make_forward_path(1.0), initial="0" * 10)
+        run(problem, resolve_schedule("linear"), make_forward_path(1.0), initial="0" * 10)
     with pytest.raises(ValueError, match="initial has 2 bits, problem has 10 variables"):
-        run(problem, linear_schedule(), make_reverse_path(0.5, 1.0), initial="01")
+        run(problem, resolve_schedule("linear"), make_reverse_path(0.5, 1.0), initial="01")
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
 def test_non_positive_beta_is_rejected(beta):
     # NaN would make every Metropolis test accept, an infinite-temperature chain
     with pytest.raises(ValueError, match="need beta > 0"):
-        svmc_run(p5_ising(), linear_schedule(), make_forward_path(1.0), beta=beta)
+        svmc_run(p5_ising(), resolve_schedule("linear"), make_forward_path(1.0), beta=beta)
 
 
 def _svmc_run_reference(
@@ -211,7 +211,7 @@ def _path_and_initial(draw, n):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), ising=_isings(),
-       sched=st.sampled_from([linear_schedule(), steep_schedule()]),
+       sched=st.sampled_from([resolve_schedule("linear"), resolve_schedule("steep")]),
        sweeps=st.sampled_from([1, 2, 3, 4, 5, _SWEEP_BLOCK + 1]),
        beta=st.floats(0.01, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_svmc_run_matches_array_loop_reference(data, ising, sched, sweeps, beta, seed):
