@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, spectrum, anneal, sweep, scaling, baseline. Batch
-subcommands read an ExperimentConfig JSON (or a previous run's manifest,
-whose embedded config is reused verbatim for bit-exact replay) with flag
-overrides on top. Every run directory gets a manifest.json.
+subcommands read an ExperimentConfig JSON (or a manifest the same command
+wrote, whose embedded config is reused verbatim for bit-exact replay) with
+flag overrides on top. Every run directory gets a manifest.json.
 """
 
 import argparse
@@ -24,6 +24,7 @@ from .experiments import (
     _write_jsonl,
     baseline_run,
     config_hash,
+    instance,
     load_config,
     make_backend,
     prepare_out,
@@ -31,7 +32,7 @@ from .experiments import (
     sweep_reverse_distance,
     write_manifest,
 )
-from .graphs import Graph, generate_er, greedy_color_largest_first
+from .graphs import Graph, greedy_color_largest_first
 from .heuristic import POLICIES, assisted_reverse_anneal
 from .schedules import resolve_schedule
 from .spectrum import SpectrumError, build_problem_diagonal, spectrum_sweep
@@ -71,19 +72,19 @@ def _load_graph(path: str) -> Graph:
 
 def cmd_generate(args) -> int:
     params = dict(n_vertices=args.n_vertices, p=args.p, count=args.count, seed=args.seed)
-    ExperimentConfig(**params)  # the config's checks, before anything is written
+    config = ExperimentConfig(**params)  # the config's checks, before anything is written
     out = prepare_out(args.out)
     params["out"] = str(out)
     names = []
     rows = []
     for i in range(args.count):
-        g = generate_er(args.n_vertices, args.p, [args.seed, 0, i])
-        k, _ = greedy_color_largest_first(g)
+        problem = instance(config, i)
+        g, k = problem.source, problem.k
         name = f"graph_{i:03d}.json"
         g.save(out / name)
         names.append(name)
         rows.append({"index": i, "file": name, "n_vertices": g.n_vertices,
-                     "n_edges": len(g.edges), "greedy_k": k, "n_vars": g.n_vertices * k})
+                     "n_edges": len(g.edges), "greedy_k": k, "n_vars": problem.n_vars})
     _write_csv(out / "instances.csv", rows)
     write_manifest(out, "generate", params, names + ["instances.csv"])
     print(f"wrote {args.count} graphs to {out}")
@@ -111,13 +112,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_anneal(args) -> int:
     # the config's checks on the fields anneal shares with it, before anything is written
-    ExperimentConfig(**{name: getattr(args, _dest(name)) for name in ANNEAL_FIELDS})
+    config = ExperimentConfig(**{name: getattr(args, _dest(name)) for name in ANNEAL_FIELDS})
     sched = resolve_schedule(args.schedule)
     g = _load_graph(args.graph)
     k = args.k if args.k is not None else greedy_color_largest_first(g)[0]
     problem = build_coloring_qubo(g, k)
     run = {name: getattr(args, name) for name in ("s_prime", "max_cycles", *ANNEAL_RUN_FIELDS)}
-    record = assisted_reverse_anneal(problem, make_backend(args), sched, **run)
+    record = assisted_reverse_anneal(problem, make_backend(config), sched, **run)
     out = prepare_out(args.out)
     _write_jsonl(out / "anneal_record.jsonl", [record.to_dict()])
     params = dict(run, graph=args.graph, k=k, schedule=args.schedule, backend=args.backend,
@@ -134,8 +135,7 @@ def cmd_batch(protocol, summary, args) -> int:
     what `summary` makes of the CSV rows, the config hash, the output."""
     overrides = {name: getattr(args, _dest(name)) for name in FIELD_TYPES
                  if getattr(args, _dest(name), None) is not None}
-    config = load_config(args.config, **overrides)
-    resolve_schedule(config.schedule)  # fail on a missing schedule before any run
+    config = load_config(args.config, args.command, **overrides)
     rows = protocol(config)
     print(f"{args.command}: {summary(rows)}; config {config_hash(config)} -> {config.out_dir}")
     return 0

@@ -249,7 +249,7 @@ def all_bitstrings(n: int) -> np.ndarray:
     return ((r[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def brute_force_solve(q: QuboProblem, chunk: int = 1 << 16) -> tuple[float, tuple[str, ...]]:
+def brute_force_solve(q: QuboProblem) -> tuple[float, tuple[str, ...]]:
     """Exhaustive minimum and every argmin bitstring. Guarded at 24 variables."""
     if q.n_vars > 24:
         raise ValueError(f"brute force limited to 24 variables, got {q.n_vars}")
@@ -257,6 +257,7 @@ def brute_force_solve(q: QuboProblem, chunk: int = 1 << 16) -> tuple[float, tupl
     argmins: list[int] = []
     total = 1 << q.n_vars
     bit_cols = np.arange(q.n_vars, dtype=np.uint32)
+    chunk = 1 << 16  # basis states per energies() call
     for start in range(0, total, chunk):
         r = np.arange(start, min(start + chunk, total), dtype=np.uint32)
         x = ((r[:, None] >> bit_cols) & 1).astype(np.float64)

@@ -48,7 +48,7 @@ from .heuristic import (
     run_chain,  # noqa: F401 -- kept importable here; perfbench/test_tracer.py patches this binding
     select_initial,
 )
-from .schedules import resolve_schedule, reverse_distance_grid
+from .schedules import Schedule, resolve_schedule, reverse_distance_grid
 from .svmc import DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT
 
 SCALING_REVERSE_DISTANCE = 0.44
@@ -179,11 +179,10 @@ def config_hash(config: ExperimentConfig) -> str:
     return _params_hash(config.to_dict())
 
 
-def make_backend(config):
-    """Backend named by config.backend; reads svmc_sweeps and svmc_beta, so
-    parsed CLI arguments work as well as an ExperimentConfig. The rotor
-    sampler runs with them whether it is named or swapped in past the
-    statevector cap."""
+def make_backend(config: ExperimentConfig):
+    """Backend named by config.backend. The rotor sampler runs with the
+    config's svmc_sweeps and svmc_beta whether it is named or swapped in past
+    the statevector cap."""
     svmc = SvmcBackend(sweeps_per_waypoint=config.svmc_sweeps, beta=config.svmc_beta)
     if config.backend == "svmc":
         return svmc
@@ -227,7 +226,8 @@ class ChainResult(typing.NamedTuple):
     record: RunRecord
 
 
-def _run_problem(config: ExperimentConfig, job: tuple[int, int | None, list[tuple]]):
+def _run_problem(config: ExperimentConfig, backend, sched: Schedule, chash: str,
+                 job: tuple[int, int | None, list[tuple]]):
     """Forward-anneal problem i (with `size` vertices if not None) once, then
     run the collect-mode chain of every (series, s', chain seed, random seed)
     entry of its plan; returns a ChainResult per chain. A chain with a random
@@ -236,8 +236,7 @@ def _run_problem(config: ExperimentConfig, job: tuple[int, int | None, list[tupl
     samples."""
     i, size, plan = job
     problem = instance(config, i, size=size)
-    backend, substituted = resolve_backend(problem, make_backend(config))
-    sched = resolve_schedule(config.schedule)
+    backend, substituted = resolve_backend(problem, backend)
     fwd = backend.forward(
         problem, sched, total_time=config.total_time, shots=config.forward_shots,
         seed=[config.seed, 1, i], time_scale=config.forward_time_scale,
@@ -248,7 +247,7 @@ def _run_problem(config: ExperimentConfig, job: tuple[int, int | None, list[tupl
         _run_record, problem, backend, substituted, sched, n_cycles=config.ra_samples,
         total_time=config.total_time, time_scale=config.ra_time_scale,
         shots_per_cycle=config.shots_per_cycle, policy=config.policy,
-        halt_on_valid=False, config_hash=config_hash(config),
+        halt_on_valid=False, config_hash=chash,
     )
     results = []
     for series, s_prime, chain_seed, random_seed in plan:
@@ -264,14 +263,18 @@ def _run_problem(config: ExperimentConfig, job: tuple[int, int | None, list[tupl
 
 def _run_protocol(config: ExperimentConfig, command: str, jobs, csv_name: str, aggregate,
                   out_dir=None) -> list[dict]:
-    """Run every (problem index, size, plan) job, sort the chain results by
-    problem, s' and series, and write the CSV rows `aggregate` makes of them,
-    <command>_records.jsonl and manifest.json; returns the CSV rows."""
-    out = prepare_out(config.out_dir if out_dir is None else out_dir)
+    """Run every (problem index, size, plan) job with one backend, schedule
+    and config hash, sort the chain results by problem, s' and series, and
+    write the CSV rows `aggregate` makes of them, <command>_records.jsonl and
+    manifest.json; returns the CSV rows. The output directory is created only
+    once every chain has run."""
+    run = partial(_run_problem, config, make_backend(config),
+                  resolve_schedule(config.schedule), config_hash(config))
     results = sorted(
-        (r for batch in _pmap(partial(_run_problem, config), jobs) for r in batch),
+        (r for batch in _pmap(run, jobs) for r in batch),
         key=lambda r: (r.record.problem_id, r.record.path_info["s_prime"], r.series or ""))
     rows = aggregate(results)
+    out = prepare_out(config.out_dir if out_dir is None else out_dir)
     _write_csv(out / csv_name, rows)
     records = f"{command}_records.jsonl"
     _write_jsonl(out / records, (
@@ -415,10 +418,12 @@ def write_manifest(out_dir, command: str, params: dict, outputs):
         f.write("\n")
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    """Config from a JSON file holding a bare config or a run manifest (whose
-    embedded config replays the run bit for bit), `overrides` on top; path
-    None starts from the defaults."""
+def load_config(path, command: str, **overrides) -> ExperimentConfig:
+    """Config for `command` from a JSON file holding a bare config or a run
+    manifest (whose embedded config replays the run bit for bit), `overrides`
+    on top; path None starts from the defaults. A manifest written by another
+    command is refused: its config would run a different protocol under the
+    same hash."""
     data = {}
     if path is not None:
         path = Path(path)
@@ -426,5 +431,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         data = json.loads(path.read_text())
         if isinstance(data, dict) and "config" in data and "command" in data:
+            if data["command"] != command:
+                raise ConfigError(f"{path} is a {data['command']!r} manifest; "
+                                  f"{command!r} cannot replay it")
             data = data["config"]
     return ExperimentConfig.from_dict(data, **overrides)

@@ -30,40 +30,6 @@ def problem_id(problem: QuboProblem) -> str:
     return hashlib.sha256(problem.to_json().encode()).hexdigest()[:12]
 
 
-class StatevectorBackend:
-    """Unitary-evolution sampler; exact but capped at 20 qubits."""
-
-    kind = "statevector"
-    max_qubits = QUBIT_CAP
-
-    def __init__(self):
-        self._diag_cache: dict[QuboProblem, object] = {}
-        # what resolve_backend swaps in past max_qubits; experiments.make_backend
-        # gives it the run's SVMC settings
-        self.fallback = SvmcBackend()
-
-    def _diag(self, problem: QuboProblem):
-        # build_problem_diagonal refuses problems past max_qubits
-        if problem not in self._diag_cache:
-            self._diag_cache[problem] = build_problem_diagonal(problem)
-        return self._diag_cache[problem]
-
-    def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
-                shots=1000, seed=0, time_scale=None):
-        """time_scale None means dynamics.SLOW_TIME_SCALE."""
-        return dynamics.anneal(
-            self._diag(problem), sched, make_forward_path(total_time), shots=shots, seed=seed,
-            time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
-        )
-
-    def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
-        """time_scale None means dynamics.REVERSE_TIME_SCALE."""
-        return dynamics.anneal(
-            self._diag(problem), sched, path, initial, shots=shots, seed=seed,
-            time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
-        )
-
-
 class SvmcBackend:
     """Rotor-sampler drop-in with the same call surface; no qubit cap.
 
@@ -79,12 +45,6 @@ class SvmcBackend:
                  beta: float = svmc.DEFAULT_BETA):
         self.sweeps_per_waypoint = sweeps_per_waypoint
         self.beta = beta
-        self._ising_cache: dict[QuboProblem, object] = {}
-
-    def _ising(self, problem: QuboProblem):
-        if problem not in self._ising_cache:
-            self._ising_cache[problem] = qubo_to_ising(problem)
-        return self._ising_cache[problem]
 
     def _sweeps(self, time_scale) -> int:
         if time_scale is None:
@@ -95,14 +55,14 @@ class SvmcBackend:
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
         # every shot is an independent trajectory on its own child stream
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        ising = qubo_to_ising(problem)
         return [
             svmc.svmc_run(
-                self._ising(problem), sched, path, initial=initial,
+                ising, sched, path, initial=initial,
                 sweeps_per_waypoint=self._sweeps(time_scale), beta=self.beta,
                 seed=child,
             )
-            for child in ss.spawn(shots)
+            for child in np.random.SeedSequence(seed).spawn(shots)
         ]
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
@@ -112,6 +72,32 @@ class SvmcBackend:
 
     def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
         return self._batch(problem, sched, path, initial, shots, seed, time_scale)
+
+
+class StatevectorBackend:
+    """Unitary-evolution sampler; exact but capped at 20 qubits."""
+
+    kind = "statevector"
+    max_qubits = QUBIT_CAP
+    # what resolve_backend swaps in past max_qubits; experiments.make_backend
+    # gives an instance the run's SVMC settings
+    fallback = SvmcBackend()
+
+    def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
+                shots=1000, seed=0, time_scale=None):
+        """time_scale None means dynamics.SLOW_TIME_SCALE."""
+        return dynamics.anneal(
+            build_problem_diagonal(problem), sched, make_forward_path(total_time),
+            shots=shots, seed=seed,
+            time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
+        )
+
+    def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
+        """time_scale None means dynamics.REVERSE_TIME_SCALE."""
+        return dynamics.anneal(
+            build_problem_diagonal(problem), sched, path, initial, shots=shots, seed=seed,
+            time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
+        )
 
 
 def resolve_backend(problem: QuboProblem, backend):
@@ -197,8 +183,8 @@ def _as_entropy(seed) -> tuple[int, ...]:
     return parts
 
 
-def _cycle_seed(seed, c: int):
-    return np.random.SeedSequence([*_as_entropy(seed), 2, c])
+def _cycle_seed(seed, c: int) -> list[int]:
+    return [*_as_entropy(seed), 2, c]
 
 
 def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,

@@ -54,10 +54,10 @@ class ProblemDiagonal:
         return float(self.values.min()), float(self.values.max())
 
 
-def build_problem_diagonal(q: QuboProblem, cap: int = QUBIT_CAP) -> ProblemDiagonal:
-    """Tabulate QuboProblem.energy(x) for every basis state x. Guarded at `cap` qubits."""
-    if q.n_vars > cap:
-        raise ValueError(f"diagonal construction capped at {cap} qubits, got {q.n_vars}")
+def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
+    """Tabulate QuboProblem.energy(x) for every basis state x. Guarded at QUBIT_CAP qubits."""
+    if q.n_vars > QUBIT_CAP:
+        raise ValueError(f"diagonal construction capped at {QUBIT_CAP} qubits, got {q.n_vars}")
     r = np.arange(1 << q.n_vars, dtype=np.uint32)
     vals = np.full(r.shape, float(q.offset))
     for i, j, v in q.q:

@@ -200,6 +200,18 @@ def test_manifest_replay_is_bit_exact(tmp_path, capsys):
         assert (first / name).read_bytes() == (replay / name).read_bytes()
 
 
+def test_batch_command_refuses_another_commands_manifest(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    config = {"n_vertices": 3, "count": 1, "backend": "svmc", "s_grid": [0.44],
+              "forward_shots": 2, "ra_samples": 1, "svmc_sweeps": 5, "sizes": [3, 4]}
+    manifest.write_text(json.dumps({"command": "scaling", "config": config}))
+    out = tmp_path / "cross"
+    code, stdout, err = run(["sweep", "--config", manifest, "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {manifest} is a 'scaling' manifest; 'sweep' cannot replay it\n"
+    assert not out.exists()
+
+
 BATCH = ["--count", 1, "--backend", "svmc", "--forward-shots", 3, "--ra-samples", 2,
          "--svmc-sweeps", 20]
 

@@ -232,7 +232,7 @@ def test_manifest_replay_roundtrip(tmp_path):
     sweep_reverse_distance(cfg, tmp_path)
     manifest = tmp_path / "manifest.json"
     assert json.loads(manifest.read_text())["command"] == "sweep"
-    loaded = load_config(manifest)
+    loaded = load_config(manifest, "sweep")
     assert loaded == cfg
     other = tmp_path / "replay"
     sweep_reverse_distance(loaded, other)
@@ -246,11 +246,31 @@ def test_config_loader_reads_a_bare_config_or_a_manifest_with_overrides(tmp_path
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"command": "sweep", "config": tiny_config().to_dict()}))
     for path in (bare, manifest):
-        assert load_config(path) == tiny_config()
-        assert load_config(path, seed=4, out_dir="x") == tiny_config(seed=4, out_dir="x")
-    assert load_config(None, count=3) == ExperimentConfig(count=3)
+        assert load_config(path, "sweep") == tiny_config()
+        assert load_config(path, "sweep", seed=4, out_dir="x") == tiny_config(seed=4, out_dir="x")
+    assert load_config(None, "sweep", count=3) == ExperimentConfig(count=3)
     with pytest.raises(ConfigError, match="config file not found"):
-        load_config(tmp_path / "missing.json")
+        load_config(tmp_path / "missing.json", "sweep")
+
+
+def test_config_loader_refuses_another_commands_manifest(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "scaling",
+                                    "config": tiny_config(sizes=(3, 4)).to_dict()}))
+    assert load_config(manifest, "scaling") == tiny_config(sizes=(3, 4))
+    with pytest.raises(ConfigError, match="'scaling' manifest; 'sweep' cannot replay it"):
+        load_config(manifest, "sweep")
+    bare = tmp_path / "config.json"
+    bare.write_text(json.dumps(tiny_config(sizes=(3, 4)).to_dict()))
+    assert load_config(bare, "sweep") == tiny_config(sizes=(3, 4))
+
+
+def test_rejected_run_creates_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("ANNEALAB_WORKERS", "abc")
+    out = tmp_path / "bad"
+    with pytest.raises(ConfigError, match="ANNEALAB_WORKERS must be an integer"):
+        sweep_reverse_distance(tiny_config(), out)
+    assert not out.exists()
 
 
 def test_substituted_rotor_sampler_keeps_the_run_settings():

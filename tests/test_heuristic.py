@@ -197,6 +197,28 @@ def test_statevector_time_scale_none_means_the_defaults():
                         time_scale=REVERSE_TIME_SCALE)
 
 
+def test_backends_hold_only_their_settings():
+    assert vars(StatevectorBackend()) == {}
+    assert vars(SvmcBackend(7, 3.0)) == {"sweeps_per_waypoint": 7, "beta": 3.0}
+
+
+@pytest.mark.parametrize("make", [StatevectorBackend, lambda: SvmcBackend(20)],
+                         ids=["statevector", "svmc"])
+def test_one_backend_reused_across_problems_samples_as_fresh_ones(make):
+    problems = [build_coloring_qubo(path_graph(n), 2) for n in (2, 3)]
+    sched, path = resolve_schedule("steep"), make_reverse_path(0.44, 100.0)
+
+    def calls(backend, q, seed):
+        initial = index_to_bits(5, q.n_vars)
+        return (backend.forward(q, sched, shots=5, seed=[seed, 0], time_scale=0.05),
+                backend.reverse(q, sched, path, initial, shots=3, seed=[seed, 2, 1]))
+
+    shared = make()
+    for seed in (0, 1):
+        for q in problems:  # alternating problems on the one backend
+            assert calls(shared, q, seed) == calls(make(), q, seed)
+
+
 def test_backend_validity_flags_match_oracle():
     out = SvmcBackend(sweeps_per_waypoint=50).forward(
         P5, resolve_schedule("linear"), shots=10, seed=3
