@@ -1,15 +1,18 @@
 """Golden sha256 digests of fixed-config outputs.
 
-Five small runs (an SVMC sweep, an SVMC baseline, an SVMC scaling run, a
-statevector `anneal` on P3 with k=2 and a 6-qubit statevector sweep, the
-benchmark's sweep-sv config at seed 0) must reproduce their record and CSV
-files byte for byte. Manifests are left out because they embed the numpy
+Eight small runs must reproduce their record and CSV files byte for byte:
+an SVMC sweep, an SVMC keep-best sweep with two shots per cycle, an SVMC
+baseline, an SVMC scaling run, a 6-qubit statevector sweep (the benchmark's
+sweep-sv config at seed 0), and three `anneal` runs: statevector on P3 with
+k=2, SVMC on P4 with k=2 (solved by its third reverse anneal), and one whose
+forward stage solves P3 (a solved-by-forward record). Manifests are left out because they embed the numpy
 and scipy versions. After an intended output change, take the new digests
 from the failure report (`-vv` prints them in full) and say in CHANGES.md
 why they moved.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -51,6 +54,20 @@ GOLDEN = {
         "anneal_record.jsonl":
             "0cf5d868320990bffb04404e9554cc103a556a975435ee40097be334d8927ec0",
     },
+    "sweep_keep_best": {
+        "sweep_summary.csv":
+            "0ebe51f311c683f595aa5474d64cc6b6975e622e7bbd6473bd34a0d0b7037917",
+        "sweep_records.jsonl":
+            "e38ba0f736d9e5c87c2c9ee2de53cfe93ad8471ebd11743c59271fe9fb0ec90f",
+    },
+    "anneal_svmc": {
+        "anneal_record.jsonl":
+            "19c1914815202bce780fa5e537411e2c6433f8747bd5f4f038a8187f1a2794ef",
+    },
+    "anneal_forward": {
+        "anneal_record.jsonl":
+            "7c9280dec67408807cd84eb6e40fb3630a30a68b2203a94a880a15c0f75143c1",
+    },
 }
 
 
@@ -70,17 +87,37 @@ def _scaling(out):
     scaling_run(ExperimentConfig(**{**SVMC, "sizes": (3, 4), "count": 1}), out)
 
 
-def _anneal(out):
-    graph = out.parent / "p3.json"
-    path_graph(3).save(graph)
-    argv = ["anneal", "--graph", graph, "--k", 2, "--schedule", "steep",
-            "--s-prime", 0.44, "--forward-shots", 3, "--forward-time-scale", 0.02,
-            "--max-cycles", 2, "--seed", 1, "--out", out]
+def _sweep_keep_best(out):
+    sweep_reverse_distance(ExperimentConfig(**SVMC, policy="keep-best", shots_per_cycle=2), out)
+
+
+def _anneal_cli(out, n_vertices, *flags, outcome=None):
+    graph = out.parent / f"p{n_vertices}.json"
+    path_graph(n_vertices).save(graph)
+    argv = ["anneal", "--graph", graph, "--k", 2, "--schedule", "steep", *flags, "--out", out]
     assert cli_entry([str(a) for a in argv]) == 0
+    if outcome is not None:  # the path this run is meant to pin
+        assert json.loads((out / "anneal_record.jsonl").read_text())["outcome"] == outcome
+
+
+def _anneal(out):
+    _anneal_cli(out, 3, "--s-prime", 0.44, "--forward-shots", 3, "--forward-time-scale", 0.02,
+                "--max-cycles", 2, "--seed", 1)
+
+
+def _anneal_svmc(out):
+    _anneal_cli(out, 4, "--backend", "svmc", "--svmc-sweeps", 3, "--forward-shots", 2,
+                "--ra-time-scale", 0.2, "--max-cycles", 4, "--seed", 0, outcome="solved-by-ra")
+
+
+def _anneal_forward(out):
+    _anneal_cli(out, 3, "--forward-shots", 3, "--max-cycles", 2, "--seed", 0,
+                outcome="solved-by-forward")
 
 
 RUNS = {"sweep": _sweep, "sweep_statevector": _sweep_statevector, "baseline": _baseline,
-        "scaling": _scaling, "anneal": _anneal}
+        "scaling": _scaling, "anneal": _anneal, "sweep_keep_best": _sweep_keep_best,
+        "anneal_svmc": _anneal_svmc, "anneal_forward": _anneal_forward}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
