@@ -41,12 +41,9 @@ from .heuristic import (
     RunRecord,
     StatevectorBackend,
     SvmcBackend,
-    _forward_summary,
-    _run_record,
     random_bits,
-    resolve_backend,
     run_chain,  # noqa: F401 -- kept importable here; perfbench/test_tracer.py patches this binding
-    select_initial,
+    run_problem,
 )
 from .schedules import Schedule, resolve_schedule, reverse_distance_grid
 from .svmc import DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT
@@ -228,37 +225,26 @@ class ChainResult(typing.NamedTuple):
 
 def _run_problem(config: ExperimentConfig, backend, sched: Schedule, chash: str,
                  job: tuple[int, int | None, list[tuple]]):
-    """Forward-anneal problem i (with `size` vertices if not None) once, then
-    run the collect-mode chain of every (series, s', chain seed, random seed)
-    entry of its plan; returns a ChainResult per chain. A chain with a random
-    seed starts from random bits drawn with it and records no forward
-    summary; the others start from the bitstring selected from the forward
-    samples."""
+    """Run problem i (with `size` vertices if not None) and the collect-mode
+    chain of every (series, s', chain seed, random seed) entry of its plan;
+    a chain with a random seed starts from random bits drawn with it."""
     i, size, plan = job
     problem = instance(config, i, size=size)
-    backend, substituted = resolve_backend(problem, backend)
-    fwd = backend.forward(
-        problem, sched, total_time=config.total_time, shots=config.forward_shots,
-        seed=[config.seed, 1, i], time_scale=config.forward_time_scale,
+    fwd, records = run_problem(
+        problem, backend, sched,
+        [(s_prime, chain_seed,
+          None if random_seed is None else random_bits(problem.n_vars, random_seed),
+          {"master": config.seed, "chain": list(chain_seed)})
+         for _, s_prime, chain_seed, random_seed in plan],
+        forward_seed=[config.seed, 1, i], select_seed=[config.seed, 2, i],
+        forward_shots=config.forward_shots, total_time=config.total_time,
+        forward_time_scale=config.forward_time_scale, n_cycles=config.ra_samples,
+        ra_time_scale=config.ra_time_scale, shots_per_cycle=config.shots_per_cycle,
+        policy=config.policy, halt_on_valid=False, config_hash=chash,
     )
-    selected, summary = select_initial(fwd, [config.seed, 2, i]), _forward_summary(fwd)
     forward_valid = [s.bits for s in fwd if s.valid]
-    run = partial(
-        _run_record, problem, backend, substituted, sched, n_cycles=config.ra_samples,
-        total_time=config.total_time, time_scale=config.ra_time_scale,
-        shots_per_cycle=config.shots_per_cycle, policy=config.policy,
-        halt_on_valid=False, config_hash=chash,
-    )
-    results = []
-    for series, s_prime, chain_seed, random_seed in plan:
-        if random_seed is None:
-            initial, forward = selected, summary
-        else:
-            initial, forward = random_bits(problem.n_vars, random_seed), None
-        rec = run(initial, chain_seed, s_prime=s_prime, forward=forward,
-                  seeds={"master": config.seed, "chain": list(chain_seed)})
-        results.append(ChainResult(i, forward_valid, series, rec))
-    return results
+    return [ChainResult(i, forward_valid, series, rec)
+            for (series, *_), rec in zip(plan, records)]
 
 
 def _run_protocol(config: ExperimentConfig, command: str, jobs, csv_name: str, aggregate,

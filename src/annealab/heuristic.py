@@ -128,9 +128,6 @@ class CycleRecord:
     energy: float
     valid: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -155,18 +152,10 @@ class RunRecord:
             raise ValueError("solved-by-ra requires a valid cycle output")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "cycles": [c.to_dict() for c in self.cycles]}
+        return asdict(self)
 
     def to_jsonl(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _forward_summary(samples: list[Sample]) -> dict:
-    return {
-        "count": len(samples),
-        "valid_count": sum(s.valid for s in samples),
-        "min_energy": min(s.energy for s in samples),
-    }
 
 
 def _as_entropy(seed) -> tuple[int, ...]:
@@ -183,14 +172,10 @@ def _as_entropy(seed) -> tuple[int, ...]:
     return parts
 
 
-def _cycle_seed(seed, c: int) -> list[int]:
-    return [*_as_entropy(seed), 2, c]
-
-
 def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
               shots_per_cycle: int = 1, policy: str = FEED_LAST,
               time_scale=None, halt_on_valid: bool = True):
-    """Iterate reverse-anneal cycles from `initial`.
+    """Iterate reverse-anneal cycles from `initial`, cycle c seeded [*seed, 2, c].
 
     Each cycle draws shots_per_cycle samples and keeps the lowest-energy one
     (ties to the lexicographically smaller bitstring). feed-last hands that
@@ -203,13 +188,13 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
+    prefix = [*_as_entropy(seed), 2]
     cycles: list[CycleRecord] = []
     current = initial
     best = (problem.energy(initial), initial)
     for c in range(1, n_cycles + 1):
-        outs = backend.reverse(problem, sched, path, current,
-                               shots=shots_per_cycle, seed=_cycle_seed(seed, c),
-                               time_scale=time_scale)
+        outs = backend.reverse(problem, sched, path, current, shots=shots_per_cycle,
+                               seed=[*prefix, c], time_scale=time_scale)
         chosen = min(outs, key=lambda s: (s.energy, s.bits))
         cycles.append(CycleRecord(current, chosen.bits, chosen.energy, chosen.valid))
         if chosen.valid and halt_on_valid:
@@ -220,35 +205,49 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
     return tuple(cycles)
 
 
-def _run_record(problem, backend, substituted: bool, sched: Schedule, initial, chain_seed,
-                *, n_cycles: int, s_prime: float, total_time: float, time_scale,
-                shots_per_cycle: int, policy: str, halt_on_valid: bool,
-                forward: dict | None, config_hash: str | None, seeds: dict) -> RunRecord:
-    """Run one reverse-anneal chain from `initial` and assemble its record.
+def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, select_seed,
+                forward_shots: int, total_time: float, forward_time_scale, n_cycles: int,
+                ra_time_scale, shots_per_cycle: int, policy: str, halt_on_valid: bool,
+                config_hash: str | None) -> tuple[list[Sample], list[RunRecord]]:
+    """Forward-anneal `problem` once, then run one reverse-anneal chain per
+    (s', chain seed, start bits, record seeds) entry of `chains`; returns
+    the forward samples and one RunRecord per entry.
 
-    `initial` None means the forward stage already found a valid sample:
-    no chain runs and the outcome is solved-by-forward.
+    Start bits None start the chain from the bitstring selected from the
+    forward samples and record the forward summary; given bits record none.
+    With halt_on_valid a valid forward sample solves the problem, so the
+    chains that would start from the selection run no cycle and record
+    solved-by-forward.
     """
-    cycles: tuple[CycleRecord, ...] = ()
-    if initial is None:
-        outcome = OUTCOME_FORWARD
-    else:
-        cycles = run_chain(problem, backend, sched, make_reverse_path(s_prime, total_time),
-                           initial, n_cycles, chain_seed, shots_per_cycle=shots_per_cycle,
-                           policy=policy, time_scale=time_scale, halt_on_valid=halt_on_valid)
-        outcome = OUTCOME_RA if any(c.valid for c in cycles) else OUTCOME_EXHAUSTED
-    return RunRecord(
-        problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
-        backend_kind=backend.kind, backend_substituted=substituted,
-        forward=forward, initial_bits=initial, cycles=cycles, outcome=outcome,
-        seeds=seeds, schedule_name=sched.name,
-        path_info={
-            "kind": "reverse", "s_prime": s_prime, "total_time": total_time,
-            "time_scale": time_scale, "shots_per_cycle": shots_per_cycle,
-            "policy": policy, "mode": "halt" if halt_on_valid else "collect",
-        },
-        config_hash=config_hash,
-    )
+    backend, substituted = resolve_backend(problem, backend)
+    fwd = backend.forward(problem, sched, total_time=total_time, shots=forward_shots,
+                          seed=forward_seed, time_scale=forward_time_scale)
+    summary = {"count": len(fwd), "valid_count": sum(s.valid for s in fwd),
+               "min_energy": min(s.energy for s in fwd)}
+    solved = halt_on_valid and summary["valid_count"] > 0
+    selected = None if solved else select_initial(fwd, select_seed)
+    records = []
+    for s_prime, chain_seed, start, seeds in chains:
+        initial = selected if start is None else start
+        cycles = () if initial is None else run_chain(
+            problem, backend, sched, make_reverse_path(s_prime, total_time), initial, n_cycles,
+            chain_seed, shots_per_cycle=shots_per_cycle, policy=policy, time_scale=ra_time_scale,
+            halt_on_valid=halt_on_valid)
+        records.append(RunRecord(
+            problem_id=problem_id(problem), k=problem.k, n_vars=problem.n_vars,
+            backend_kind=backend.kind, backend_substituted=substituted,
+            forward=summary if start is None else None, initial_bits=initial, cycles=cycles,
+            outcome=(OUTCOME_FORWARD if initial is None else
+                     OUTCOME_RA if any(c.valid for c in cycles) else OUTCOME_EXHAUSTED),
+            seeds=seeds, schedule_name=sched.name,
+            path_info={
+                "kind": "reverse", "s_prime": s_prime, "total_time": total_time,
+                "time_scale": ra_time_scale, "shots_per_cycle": shots_per_cycle,
+                "policy": policy, "mode": "halt" if halt_on_valid else "collect",
+            },
+            config_hash=config_hash,
+        ))
+    return fwd, records
 
 
 def assisted_reverse_anneal(
@@ -264,7 +263,6 @@ def assisted_reverse_anneal(
     ra_time_scale=None,
     shots_per_cycle: int = 1,
     policy: str = FEED_LAST,
-    config_hash: str | None = None,
 ) -> RunRecord:
     """Forward stage, early exit on any valid sample, else iterated RA."""
     if not 0.0 < s_prime < 1.0:
@@ -273,20 +271,18 @@ def assisted_reverse_anneal(
         raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
     if max_cycles < 0:
         raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
-    backend, substituted = resolve_backend(problem, backend)
     entropy = _as_entropy(seed)
-    fwd = backend.forward(problem, sched, total_time=total_time, shots=forward_shots,
-                          seed=[*entropy, 0], time_scale=forward_time_scale)
-    initial = None if any(s.valid for s in fwd) else select_initial(fwd, [*entropy, 1])
-    return _run_record(
-        problem, backend, substituted, sched, initial, entropy, n_cycles=max_cycles,
-        s_prime=s_prime, total_time=total_time, time_scale=ra_time_scale,
-        shots_per_cycle=shots_per_cycle, policy=policy, halt_on_valid=True,
-        forward=_forward_summary(fwd),
-        seeds={"master": entropy[0] if len(entropy) == 1 else list(entropy),
-               "forward": [*entropy, 0], "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]},
-        config_hash=config_hash,
+    seeds = {"master": entropy[0] if len(entropy) == 1 else list(entropy),
+             "forward": [*entropy, 0], "select": [*entropy, 1], "cycle_prefix": [*entropy, 2]}
+    _, (record,) = run_problem(
+        problem, backend, sched, [(s_prime, entropy, None, seeds)],
+        forward_seed=seeds["forward"], select_seed=seeds["select"],
+        forward_shots=forward_shots, total_time=total_time,
+        forward_time_scale=forward_time_scale, n_cycles=max_cycles,
+        ra_time_scale=ra_time_scale, shots_per_cycle=shots_per_cycle, policy=policy,
+        halt_on_valid=True, config_hash=None,
     )
+    return record
 
 
 def random_bits(n_vars: int, seed) -> str:
