@@ -1,14 +1,17 @@
 """Batch protocols: reverse-distance sweep, size scaling, random baseline.
 
 Every run is a pure function of its config. Randomness derives from the
-master seed through fixed stage tags:
+master seed through fixed stage tags; `anneal` runs one given problem
+through the same runner with its own tags:
 
-    graph of problem i          [master, 0, i]        (scaling: [master, 0, n, i])
-    forward stage of problem i  [master, 1, i]
-    initial selection           [master, 2, i]
-    RA chain at grid index j    [master, 3, i, j]     (scaling: [master, 3, n, i];
-                                                       cycle c appends 2, c)
+                                batch protocols       anneal
+    graph of problem i          [master, 0, i]        (given)
+    forward stage of problem i  [master, 1, i]        [master, 0]
+    initial selection           [master, 2, i]        [master, 1]
+    RA chain at grid index j    [master, 3, i, j]     [master]
+    cycle c of a chain          [*chain, 2, c]        [master, 2, c]
     random baseline initial     [master, 4, i]
+    (scaling: graph [master, 0, n, i], chain [master, 3, n, i])
 
 Every protocol is a plan per problem: one forward stage, then a list of
 collect-mode chains (series, s', chain seed). One driver runs the plans and
@@ -25,6 +28,7 @@ cycle), not measurement shots.
 import csv
 import hashlib
 import json
+import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -89,8 +93,8 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        def positive(v):
-            return v is None or v > 0
+        def time_scale(v):  # it multiplies total_time, and the product must stay finite
+            return v is None or (v > 0 and math.isfinite(v * self.total_time))
 
         for name, ok, rule in (
             ("n_vertices", self.n_vertices >= 1, ">= 1"),
@@ -100,9 +104,11 @@ class ExperimentConfig:
             ("k", self.k is None or self.k >= 1, ">= 1"),
             ("forward_shots", self.forward_shots >= 1, ">= 1"),
             ("ra_samples", self.ra_samples >= 0, ">= 0"),
-            ("total_time", self.total_time > 0, "positive"),
-            ("forward_time_scale", positive(self.forward_time_scale), "positive"),
-            ("ra_time_scale", positive(self.ra_time_scale), "positive"),
+            ("total_time", 0 < self.total_time < math.inf, "positive and finite"),
+            ("forward_time_scale", time_scale(self.forward_time_scale),
+             "positive and finite times total_time"),
+            ("ra_time_scale", time_scale(self.ra_time_scale),
+             "positive and finite times total_time"),
             ("shots_per_cycle", self.shots_per_cycle >= 1, ">= 1"),
             ("sizes", all(n >= 1 for n in self.sizes), ">= 1"),
             ("sizes", len(set(self.sizes)) == len(self.sizes), "free of repeated values"),

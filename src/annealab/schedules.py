@@ -36,6 +36,9 @@ class Schedule:
         b = np.asarray(self.b_vals, dtype=np.float64)
         if not (s.ndim == 1 and s.shape == a.shape == b.shape and s.size >= 2):
             raise ScheduleError("schedule needs matching s/a/b columns with at least two rows")
+        finite = np.isfinite(s) & np.isfinite(a) & np.isfinite(b)
+        if not finite.all():
+            raise ScheduleError(f"non-finite entry at row {int(np.argmin(finite))}")
         if np.any(np.diff(s) <= 0):
             row = int(np.argmax(np.diff(s) <= 0)) + 1
             raise ScheduleError(f"s column must be strictly increasing (violated at row {row})")

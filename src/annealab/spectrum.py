@@ -134,20 +134,27 @@ def dense_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal) -> np.nd
 
 
 def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int = 15) -> np.ndarray:
-    """The m smallest eigenvalues of H(s), ascending, degeneracies retained.
+    """The m smallest eigenvalues of H(s), ascending.
 
-    Dense (partial) diagonalization up to 12 qubits; above that, an iterative
-    extremal solver on the matrix-free operator with deterministic seeded
-    restarts.
+    Where a(s) or b(s) is 0, H(s) is diagonal (in the x basis if a is 0)
+    and these are its m smallest entries. Otherwise dense (partial)
+    diagonalization up to 12 qubits, which keeps degenerate levels; above
+    that, an iterative extremal solver on the matrix-free operator with
+    deterministic seeded restarts, which can drop copies of a level that a
+    symmetry of H(s) makes degenerate.
     """
     dim = 1 << diag.n_qubits
     if not 1 <= m <= dim:
         raise ValueError(f"need 1 <= m <= {dim}, got {m}")
+    a, b = float(sched.a(s)), float(sched.b(s))
+    if a == 0.0 or b == 0.0:
+        vals = (a * diag.values if b == 0.0 else
+                b * (diag.n_qubits - 2.0 * np.bitwise_count(np.arange(dim))))
+        return np.sort(np.partition(vals, m - 1)[:m])
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
         h = dense_hamiltonian(s, sched, diag)
         return scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, m - 1))
-    a_diag = float(sched.a(s)) * diag.values
-    b = float(sched.b(s))
+    a_diag = a * diag.values
     op = LinearOperator((dim, dim), matvec=lambda x: _h_matvec(a_diag, b, x), dtype=np.float64)
     last_residual = np.nan
     for attempt in range(3):

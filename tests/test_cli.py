@@ -121,6 +121,9 @@ def test_malformed_graph_file_is_a_clean_error(tmp_path, capsys, content, expect
     ("--svmc-sweeps", 0, "svmc_sweeps must be >= 1, got 0"),
     ("--forward-shots", 0, "forward_shots must be >= 1, got 0"),
     ("--s-prime", "nan", "reverse distance must be in (0, 1), got nan"),
+    ("--total-time", "inf", "total_time must be positive and finite, got inf"),
+    ("--ra-time-scale", "1e308",
+     "ra_time_scale must be positive and finite times total_time, got 1e+308"),
 ])
 def test_anneal_rejects_bad_values_before_writing(tmp_path, p5_file, capsys, flag, value,
                                                   message):

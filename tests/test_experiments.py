@@ -51,6 +51,9 @@ def test_default_grid_is_the_ten_step_descent():
     dict(sizes=(0,)),
     dict(s_grid=(0.44, 0.44)),
     dict(sizes=(3, 3)),
+    dict(total_time=float("inf")),
+    dict(forward_time_scale=float("inf")),
+    dict(ra_time_scale=1e308),  # finite, but times total_time it overflows
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):

@@ -75,6 +75,12 @@ def test_loader_rejects_bad_tables():
         Schedule.from_csv_text("s,a,b\n0,0,1\n1,one,0\n")
 
 
+@pytest.mark.parametrize("row", ["nan,0.5,0.5", "0.5,nan,0.5", "0.5,0.5,inf", "0.5,-inf,0.5"])
+def test_loader_rejects_non_finite_entries(row):
+    with pytest.raises(ScheduleError, match="non-finite entry at row 1"):
+        Schedule.from_csv_text(f"s,a,b\n0,0,1\n{row}\n1,1,0\n")
+
+
 def test_csv_roundtrip(tmp_path):
     grid = np.linspace(0.0, 1.0, 51)
     f = tmp_path / "sched.csv"

@@ -228,6 +228,16 @@ def test_p5_s1_ground_degeneracy():
     assert vals[2] >= 1.0 - 1e-7
 
 
+def test_endpoint_levels_past_the_dense_limit():
+    # 14 qubits take the iterative path; at s = 0 and s = 1 H(s) is diagonal,
+    # with degenerate levels an extremal solver would miss
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
+    assert np.allclose(lowest_eigenvalues(0.0, LIN, diag, m=15), [-14.0] + [-12.0] * 14,
+                       rtol=0.0, atol=1e-9)
+    assert np.allclose(lowest_eigenvalues(1.0, LIN, diag, m=3), [0.0, 0.0, 1.0],
+                       rtol=0.0, atol=1e-9)
+
+
 def test_sweep_shape_and_endpoints():
     q = build_coloring_qubo(path_graph(3), 2)
     diag = build_problem_diagonal(q)
