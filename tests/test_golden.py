@@ -5,10 +5,10 @@ an SVMC sweep, an SVMC keep-best sweep with two shots per cycle, an SVMC
 baseline, an SVMC scaling run, a 6-qubit statevector sweep (the benchmark's
 sweep-sv config at seed 0), and three `anneal` runs: statevector on P3 with
 k=2, SVMC on P4 with k=2 (solved by its third reverse anneal), and one whose
-forward stage solves P3 (a solved-by-forward record). Manifests are left out because they embed the numpy
-and scipy versions. After an intended output change, take the new digests
-from the failure report (`-vv` prints them in full) and say in CHANGES.md
-why they moved.
+forward stage solves P3 (a solved-by-forward record). Manifests are left
+out because they embed the numpy and scipy versions. After an intended
+output change, take the new digests from the failure report (`-vv` prints
+them in full) and say in CHANGES.md why they moved.
 """
 
 import hashlib
