@@ -8,6 +8,16 @@ the more common -sum sigma^x but leaves every measurement probability and gap
 structure unchanged.
 
 Basis convention: variable i is bit i (little endian) of the basis index.
+
+Dense solves split H(s) into the two sectors of one basis permutation pi that
+swaps pairs of bits and leaves the problem diagonal unchanged (for a one-hot
+coloring diagonal: swapping colors 0 and 1 at every vertex). The driver
+commutes with every bit permutation, so pi commutes with H(s), and H(s) is
+block diagonal in the basis of even vectors (|f> for each fixed point f of
+pi, (|x> + |pi x>)/sqrt 2 for each pair x < pi x) and odd vectors
+((|x> - |pi x>)/sqrt 2). The union of the two blocks' spectra is the
+spectrum of H(s), multiplicities included; each block is about half the size,
+so a dense solve costs about a quarter as much.
 """
 
 from __future__ import annotations
@@ -52,6 +62,24 @@ class ProblemDiagonal:
     @cached_property
     def bounds(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
+
+    @cached_property
+    def color_swap(self) -> np.ndarray:
+        """The basis permutation that swaps bits v*k and v*k + 1 for every
+        v < n_qubits / k, for the smallest stride k >= 2 dividing n_qubits
+        under which the diagonal is unchanged (the swap of colors 0 and 1 at
+        every vertex v of a one-hot layout of k colors); the identity if
+        there is no such k."""
+        n = self.n_qubits
+        x = np.arange(1 << n)
+        for k in range(2, n + 1):
+            if n % k:
+                continue
+            low = sum(1 << v for v in range(0, n, k))
+            swapped = ((x >> 1) & low) | ((x & low) << 1) | (x & ~(low * 3))
+            if np.array_equal(self.values[swapped], self.values):
+                return swapped
+        return x
 
 
 def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
@@ -120,29 +148,49 @@ def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: n
     return _h_matvec(float(sched.a(s)) * diag.values, float(sched.b(s)), state)
 
 
-def dense_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal) -> np.ndarray:
-    if diag.n_qubits > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"dense matrix limited to {DENSE_QUBIT_LIMIT} qubits")
-    dim = 1 << diag.n_qubits
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim))
-    h[idx, idx] = float(sched.a(s)) * diag.values
-    b = float(sched.b(s))
-    for j in range(diag.n_qubits):
-        h[idx, idx ^ (1 << j)] += b
-    return h
+def _sector_hamiltonians(a: float, b: float, diag: ProblemDiagonal):
+    """H(s) in the even, then the odd sector of diag.color_swap (see the module
+    docstring), each built from the diagonal and the single-bit flips alone.
+
+    A sector vector is sum_z coef[z] |z> over one orbit {x, pi x}, labelled by
+    its smallest state x. Flipping bit j of the label x lands on y, and adds
+    b * coef[y] / coef[x] to the entry in the row of y's orbit."""
+    perm = diag.color_swap
+    x = np.arange(perm.size)
+    orbit = np.minimum(x, perm)
+    fixed = perm == x
+    r = np.sqrt(0.5)
+    # a fixed point has coefficient 0 in the odd sector, so the row it names
+    # (any row in range) gains exactly 0.0
+    for is_label, coef in ((x <= perm, np.where(fixed, 1.0, r)),
+                           (x < perm, np.where(fixed, 0.0, np.where(x < perm, r, -r)))):
+        labels = x[is_label]
+        row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit]
+        cols = np.arange(labels.size)
+        h = np.zeros((labels.size, labels.size), order="F")
+        h[cols, cols] = a * diag.values[labels]
+        scale = b / coef[labels]
+        for j in range(diag.n_qubits):
+            flipped = labels ^ (1 << j)
+            h[row[flipped], cols] += scale * coef[flipped]
+        yield h
 
 
 def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int = 15) -> np.ndarray:
     """The m smallest eigenvalues of H(s), ascending.
 
     Where a(s) or b(s) is 0, H(s) is diagonal (in the x basis if a is 0)
-    and these are its m smallest entries. Otherwise dense (partial)
-    diagonalization up to 12 qubits, which keeps degenerate levels; above
-    that, an iterative extremal solver on the matrix-free operator with
-    deterministic seeded restarts, which can drop copies of a level that a
-    symmetry of H(s) makes degenerate.
+    and these are its m smallest entries. Otherwise, up to 12 qubits, dense
+    partial diagonalization of the even and the odd sector of
+    diag.color_swap, which commutes with H(s) (see the module docstring):
+    the m lowest of the two sectors' lowest levels together are exactly the
+    m lowest levels of H(s), degenerate copies included. Above 12 qubits, an
+    iterative extremal solver on the matrix-free operator with deterministic
+    seeded restarts, which can drop copies of a level that a symmetry of
+    H(s) makes degenerate.
     """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must be within [0, 1], got {s}")
     dim = 1 << diag.n_qubits
     if not 1 <= m <= dim:
         raise ValueError(f"need 1 <= m <= {dim}, got {m}")
@@ -152,8 +200,10 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int 
                 b * (diag.n_qubits - 2.0 * np.bitwise_count(np.arange(dim))))
         return np.sort(np.partition(vals, m - 1)[:m])
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
-        h = dense_hamiltonian(s, sched, diag)
-        return scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, m - 1))
+        levels = [scipy.linalg.eigh(h, eigvals_only=True, overwrite_a=True,
+                                    subset_by_index=(0, min(m, len(h)) - 1))
+                  for h in _sector_hamiltonians(a, b, diag) if len(h)]
+        return np.sort(np.concatenate(levels))[:m]
     a_diag = a * diag.values
     op = LinearOperator((dim, dim), matvec=lambda x: _h_matvec(a_diag, b, x), dtype=np.float64)
     last_residual = np.nan
@@ -211,12 +261,13 @@ class SpectrumTable:
 
 
 def spectrum_sweep(sched: Schedule, diag: ProblemDiagonal, grid=None, m: int = 15) -> SpectrumTable:
-    """lowest_eigenvalues over an s grid (default: 100 equal steps over [0, 1])."""
+    """lowest_eigenvalues over an s grid (default: 100 equal steps over [0, 1]);
+    lowest_eigenvalues refuses a grid point outside [0, 1]."""
     if grid is None:
         grid = np.linspace(0.0, 1.0, 100)
     grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    if grid.size == 0 or grid.min() < 0.0 or grid.max() > 1.0:
-        raise ValueError("grid must be non-empty within [0, 1]")
+    if grid.size == 0:
+        raise ValueError("grid must be non-empty")
     levels = np.empty((grid.size, m))
     for i, s in enumerate(grid):
         try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annealab.coloring_qubo import all_bitstrings, build_coloring_qubo, brute_force_solve
-from annealab.graphs import Graph, generate_er, path_graph
+from annealab.graphs import Graph, complete_graph, generate_er, path_graph
 from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
     GATHER_BLOCK,
@@ -18,7 +18,6 @@ from annealab.spectrum import (
     SpectrumTable,
     apply_hamiltonian,
     build_problem_diagonal,
-    dense_hamiltonian,
     driver_apply,
     lowest_eigenvalues,
     min_gap,
@@ -26,6 +25,19 @@ from annealab.spectrum import (
 )
 
 LIN = resolve_schedule("linear")
+
+
+def dense_hamiltonian(s, sched, diag):
+    """The full 2^n x 2^n matrix of H(s), built entry by entry: the independent
+    oracle for the matrix-free operator and the sector-split eigensolver."""
+    dim = 1 << diag.n_qubits
+    idx = np.arange(dim)
+    h = np.zeros((dim, dim))
+    h[idx, idx] = float(sched.a(s)) * diag.values
+    b = float(sched.b(s))
+    for j in range(diag.n_qubits):
+        h[idx, idx ^ (1 << j)] += b
+    return h
 
 
 def test_diagonal_matches_energy_enumeration():
@@ -199,6 +211,58 @@ def test_dense_matches_full_diagonalization():
         assert np.allclose(vals, full[:10], atol=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       schedule=st.sampled_from(["linear", "steep"]))
+def test_sector_split_matches_full_diagonalization(data, k, p, seed, s, schedule):
+    # m ranges up to the full dimension, past the odd sector's size
+    g = generate_er(data.draw(st.integers(1, 9 // k), label="n_vertices"), p, seed)
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    sched = resolve_schedule(schedule)
+    m = data.draw(st.integers(1, 1 << diag.n_qubits), label="m")
+    full = np.linalg.eigvalsh(dense_hamiltonian(s, sched, diag))
+    assert np.allclose(lowest_eigenvalues(s, sched, diag, m), full[:m], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("g, k", [(complete_graph(3), 3), (generate_er(4, 0.5, 1), 2),
+                                  (generate_er(3, 0.7, 2), 3)])
+def test_color_swap_refused_when_the_diagonal_breaks_it(g, k):
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    dim = 1 << diag.n_qubits
+    swap = diag.color_swap
+    assert swap[1] == 2 and np.array_equal(diag.values[swap], diag.values)
+    # every candidate swap exchanges bits 0 and 1, so moving entry 1 by one
+    # ulp breaks all of them
+    values = diag.values.copy()
+    values[1] = np.nextafter(values[1], np.inf)
+    nudged = ProblemDiagonal(diag.n_qubits, values)
+    assert np.array_equal(nudged.color_swap, np.arange(dim))
+    for s in (0.3, 0.6):
+        full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, nudged))
+        assert np.allclose(lowest_eigenvalues(s, LIN, nudged, dim), full, rtol=0.0, atol=1e-9)
+
+
+def test_dense_solve_holds_less_than_one_full_matrix():
+    # each sector matrix has about half the full dimension, so a quarter of
+    # its bytes, and eigh overwrites it instead of copying it
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(5), 2))
+    tracemalloc.start()
+    try:
+        lowest_eigenvalues(0.5, LIN, diag, m=15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024 * 8
+
+
+@pytest.mark.parametrize("s", [1.5, -0.2, math.nan])
+def test_lowest_eigenvalues_refuses_s_outside_the_unit_interval(s):
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(3), 2))
+    with pytest.raises(ValueError, match=r"s must be within \[0, 1\]"):
+        lowest_eigenvalues(s, LIN, diag, m=2)
+
+
 def test_iterative_solver_matches_sparse_oracle():
     # 13 qubits forces the matrix-free path; oracle is an explicit sparse matrix
     g = generate_er(13, 0.3, 8)
@@ -256,6 +320,8 @@ def test_sweep_rejects_bad_grid():
         spectrum_sweep(LIN, diag, grid=[0.2, 1.4], m=2)
     with pytest.raises(ValueError):
         spectrum_sweep(LIN, diag, grid=[], m=2)
+    with pytest.raises(ValueError, match=r"s must be within \[0, 1\]"):
+        spectrum_sweep(LIN, diag, grid=[0.2, math.nan], m=2)
 
 
 def test_min_gap_synthetic():
