@@ -187,11 +187,7 @@ def make_backend(config: ExperimentConfig):
     config's svmc_sweeps and svmc_beta whether it is named or swapped in past
     the statevector cap."""
     svmc = SvmcBackend(sweeps_per_waypoint=config.svmc_sweeps, beta=config.svmc_beta)
-    if config.backend == "svmc":
-        return svmc
-    backend = StatevectorBackend()
-    backend.fallback = svmc
-    return backend
+    return svmc if config.backend == "svmc" else StatevectorBackend(svmc)
 
 
 def instance(config: ExperimentConfig, i: int, size: int | None = None) -> QuboProblem:

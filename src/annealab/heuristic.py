@@ -9,6 +9,7 @@ valid output or when the cycle budget runs out.
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,7 @@ def problem_id(problem: QuboProblem) -> str:
     return hashlib.sha256(problem.to_json().encode()).hexdigest()[:12]
 
 
+@dataclass(frozen=True)
 class SvmcBackend:
     """Rotor-sampler drop-in with the same call surface; no qubit cap.
 
@@ -38,13 +40,10 @@ class SvmcBackend:
     time_scale freezes the chain just as a fast anneal does.
     """
 
-    kind = "svmc"
-    max_qubits = None
-
-    def __init__(self, sweeps_per_waypoint: int = svmc.DEFAULT_SWEEPS_PER_WAYPOINT,
-                 beta: float = svmc.DEFAULT_BETA):
-        self.sweeps_per_waypoint = sweeps_per_waypoint
-        self.beta = beta
+    kind: ClassVar[str] = "svmc"
+    max_qubits: ClassVar[int | None] = None
+    sweeps_per_waypoint: int = svmc.DEFAULT_SWEEPS_PER_WAYPOINT
+    beta: float = svmc.DEFAULT_BETA
 
     def _sweeps(self, time_scale) -> int:
         if time_scale is None:
@@ -74,14 +73,14 @@ class SvmcBackend:
         return self._batch(problem, sched, path, initial, shots, seed, time_scale)
 
 
+@dataclass(frozen=True)
 class StatevectorBackend:
     """Unitary-evolution sampler; exact but capped at 20 qubits."""
 
-    kind = "statevector"
-    max_qubits = QUBIT_CAP
-    # what resolve_backend swaps in past max_qubits; experiments.make_backend
-    # gives an instance the run's SVMC settings
-    fallback = SvmcBackend()
+    kind: ClassVar[str] = "statevector"
+    max_qubits: ClassVar[int | None] = QUBIT_CAP
+    # what resolve_backend swaps in past max_qubits
+    fallback: SvmcBackend = SvmcBackend()
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
                 shots=1000, seed=0, time_scale=None):
@@ -103,8 +102,7 @@ class StatevectorBackend:
 def resolve_backend(problem: QuboProblem, backend):
     """Swap in the backend's fallback rotor sampler when the problem exceeds
     its cap."""
-    cap = getattr(backend, "max_qubits", None)
-    if cap is not None and problem.n_vars > cap:
+    if backend.max_qubits is not None and problem.n_vars > backend.max_qubits:
         return backend.fallback, True
     return backend, False
 

@@ -62,27 +62,20 @@ def svmc_run(
         theta = np.array([0.0 if ch == "0" else math.pi for ch in initial])
     rng = np.random.default_rng(seed)
 
-    h = np.asarray(ising.h, dtype=np.float64)
-    nbr_idx: list[list[int]] = [[] for _ in range(n)]
-    nbr_val: list[list[float]] = [[] for _ in range(n)]
-    for i, j, v in ising.j:
-        nbr_idx[i].append(j)
-        nbr_val[i].append(v)
-        nbr_idx[j].append(i)
-        nbr_val[j].append(v)
-    adj = [(np.array(ix, dtype=np.intp), np.array(vx)) for ix, vx in zip(nbr_idx, nbr_val)]
-
-    m_arr = np.cos(theta)
-    z_arr = h.copy()  # local fields h_i + sum_j J_ij m_j, kept incrementally
-    for i, (ix, vx) in enumerate(adj):
-        if ix.size:
-            z_arr[i] += float(np.dot(vx, m_arr[ix]))
     # the sweeps run on Python floats: the same IEEE operations as numpy's
     # elementwise float64 ones, without the per-element numpy call overhead
-    nbrs = [list(zip(ix.tolist(), vx.tolist())) for ix, vx in adj]
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]  # (j, J_ij) per spin i
+    for i, j, v in ising.j:
+        nbrs[i].append((j, float(v)))
+        nbrs[j].append((i, float(v)))
+    m_arr = np.cos(theta)
+    z = [float(h) for h in ising.h]  # local fields h_i + sum_j J_ij m_j, kept incrementally
+    for i, nb in enumerate(nbrs):
+        if nb:
+            ix, vx = zip(*nb)
+            z[i] += float(np.dot(vx, m_arr[list(ix)]))
     m = m_arr.tolist()  # z-components; their signs are the readout
     sin_t = np.sin(theta).tolist()
-    z = z_arr.tolist()
 
     total_sweeps = sweeps_per_waypoint * len(path.times)
     mids = (np.arange(total_sweeps) + 0.5) * (path.total_time / total_sweeps)

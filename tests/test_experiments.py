@@ -1,6 +1,7 @@
 """Batch-harness tests on deliberately tiny configs."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from annealab.experiments import (
     sweep_reverse_distance,
 )
 from annealab.coloring_qubo import validate
-from annealab.heuristic import problem_id, resolve_backend
+from annealab.heuristic import StatevectorBackend, SvmcBackend, problem_id, resolve_backend
 from annealab.schedules import reverse_distance_grid
 
 
@@ -282,3 +283,17 @@ def test_substituted_rotor_sampler_keeps_the_run_settings():
         tiny_config(backend="statevector", svmc_sweeps=7, svmc_beta=3.0)))
     assert substituted
     assert (backend.kind, backend.sweeps_per_waypoint, backend.beta) == ("svmc", 7, 3.0)
+
+
+def test_make_backend_builds_the_named_backend_with_the_run_settings():
+    assert make_backend(ExperimentConfig(svmc_sweeps=7, svmc_beta=3.0)) == \
+        StatevectorBackend(SvmcBackend(7, 3.0))
+    assert make_backend(ExperimentConfig(backend="svmc", svmc_sweeps=7, svmc_beta=3.0)) == \
+        SvmcBackend(7, 3.0)
+
+
+@pytest.mark.parametrize("backend", ["statevector", "svmc"])
+def test_backend_survives_a_pickle_round_trip(backend):
+    # ANNEALAB_WORKERS ships the backend to its worker processes this way
+    made = make_backend(ExperimentConfig(backend=backend, svmc_sweeps=7, svmc_beta=3.0))
+    assert pickle.loads(pickle.dumps(made)) == made

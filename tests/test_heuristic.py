@@ -1,6 +1,8 @@
 """Orchestration-layer tests: selection rules, chaining policies, records."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,8 +200,12 @@ def test_statevector_time_scale_none_means_the_defaults():
 
 
 def test_backends_hold_only_their_settings():
-    assert vars(StatevectorBackend()) == {}
+    assert vars(StatevectorBackend()) == {"fallback": SvmcBackend()}
     assert vars(SvmcBackend(7, 3.0)) == {"sweeps_per_waypoint": 7, "beta": 3.0}
+    for backend in (StatevectorBackend(), SvmcBackend(7, 3.0)):
+        for name in vars(backend):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(backend, name, None)
 
 
 @pytest.mark.parametrize("make", [StatevectorBackend, lambda: SvmcBackend(20)],
@@ -282,3 +288,36 @@ def test_problem_id_is_stable_and_content_addressed():
     other = build_coloring_qubo(complete_graph(3), 3)
     assert problem_id(P5) == problem_id(build_coloring_qubo(path_graph(5), 2))
     assert problem_id(P5) != problem_id(other)
+
+
+def test_readme_tour_runs_verbatim(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(tour, {})
+    assert capsys.readouterr().out == "solved-by-forward None 0\n"
+
+
+def _guard_run_chain(**kw):
+    sched, path = resolve_schedule("steep"), make_reverse_path(0.44, 100.0)
+    args = dict(n_cycles=1, seed=0) | kw
+    return run_chain(P5, SvmcBackend(5), sched, path, "0" * P5.n_vars, **args)
+
+
+def _guard_assisted(**kw):
+    return assisted_reverse_anneal(P5, SvmcBackend(5), resolve_schedule("steep"), 0.44, **kw)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _guard_run_chain(policy="bogus"), "unknown feeding policy 'bogus'"),
+    (lambda: _guard_run_chain(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
+    (lambda: _guard_run_chain(seed=-1), "seed entries must be non-negative"),
+    (lambda: _guard_run_chain(seed=1.5), "seed must be an int or sequence of ints"),
+    (lambda: _guard_assisted(forward_shots=0), "need forward_shots >= 1, got 0"),
+    (lambda: _guard_assisted(max_cycles=-1), "need max_cycles >= 0, got -1"),
+    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), shots=1, time_scale=0.0),
+     "time_scale must be positive, got 0.0"),
+], ids=["policy", "shots-per-cycle", "negative-seed", "float-seed", "forward-shots",
+        "max-cycles", "svmc-time-scale"])
+def test_heuristic_refuses_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
