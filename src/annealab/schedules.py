@@ -67,12 +67,13 @@ class Schedule:
         if header is None or [h.strip() for h in header] != ["s", "a", "b"]:
             raise ScheduleError(f"expected header 's,a,b', got {header}")
         rows = [r for r in rdr if r]
+        for i, r in enumerate(rows):
+            if len(r) != 3:
+                raise ScheduleError(f"every row needs exactly three columns; row {i} has {len(r)}")
         try:
-            cols = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+            cols = np.array([[float(x) for x in r] for r in rows], dtype=np.float64).reshape(-1, 3)
         except ValueError as err:
             raise ScheduleError(f"non-numeric schedule entry: {err}") from err
-        if cols.ndim != 2 or cols.shape[1] != 3:
-            raise ScheduleError("every row needs exactly three columns")
         return cls(name, cols[:, 0], cols[:, 1], cols[:, 2])
 
     @classmethod

@@ -176,6 +176,16 @@ def _sector_hamiltonians(a: float, b: float, diag: ProblemDiagonal):
         yield h
 
 
+def _check_request(svals, m: int, diag: ProblemDiagonal) -> None:
+    """Refuse any s outside [0, 1] (NaN included) and any m outside 1..2^n."""
+    for s in svals:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"s must be within [0, 1], got {s}")
+    dim = 1 << diag.n_qubits
+    if not 1 <= m <= dim:
+        raise ValueError(f"need 1 <= m <= {dim}, got {m}")
+
+
 def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int = 15) -> np.ndarray:
     """The m smallest eigenvalues of H(s), ascending.
 
@@ -189,11 +199,8 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int 
     seeded restarts, which can drop copies of a level that a symmetry of
     H(s) makes degenerate.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must be within [0, 1], got {s}")
+    _check_request((s,), m, diag)
     dim = 1 << diag.n_qubits
-    if not 1 <= m <= dim:
-        raise ValueError(f"need 1 <= m <= {dim}, got {m}")
     a, b = float(sched.a(s)), float(sched.b(s))
     if a == 0.0 or b == 0.0:
         vals = (a * diag.values if b == 0.0 else
@@ -262,12 +269,13 @@ class SpectrumTable:
 
 def spectrum_sweep(sched: Schedule, diag: ProblemDiagonal, grid=None, m: int = 15) -> SpectrumTable:
     """lowest_eigenvalues over an s grid (default: 100 equal steps over [0, 1]);
-    lowest_eigenvalues refuses a grid point outside [0, 1]."""
+    a grid point outside [0, 1] or a bad m is refused before the first solve."""
     if grid is None:
         grid = np.linspace(0.0, 1.0, 100)
     grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
+    _check_request(grid, m, diag)
     levels = np.empty((grid.size, m))
     for i, s in enumerate(grid):
         try:

@@ -214,3 +214,15 @@ def test_guards():
         IsingProblem(n_spins=2, h=(0.0,), j=())
     with pytest.raises(ValueError):
         brute_force_solve(QuboProblem(n_vars=25))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: QuboProblem(n_vars=0), "need at least one variable, got 0"),
+    (lambda: QuboProblem(2, q=((0, 1, 1.0), (0, 1, 2.0))), r"duplicate entry \(0, 1\)"),
+    (lambda: IsingProblem(2, (0.0, 0.0), ((1, 0, 1.0),)),
+     r"coupling \(1, 0\) must satisfy 0 <= i < j < n_spins"),
+    (lambda: decode(QuboProblem(2), "01"), "QUBO has no variable map"),
+], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map"])
+def test_problems_refuse_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

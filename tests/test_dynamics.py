@@ -353,3 +353,21 @@ def test_evolve_memo_evicts_least_recently_used_first(memo, monkeypatch):
     assert len(memo) == 2 and memo.nbytes == dynamics.MEMO_BYTES
     assert run("0110") is a and run("0101") is c
     assert run("1001") is not b
+
+
+def test_evolve_raises_when_the_norm_drifts_past_the_bound(monkeypatch):
+    monkeypatch.setattr(dynamics, "DRIFT_BOUND", -1.0)
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(1), 2))
+    with pytest.raises(IntegratorError, match="norm drift .* exceeds -1.0 on segment"):
+        evolve(driver_ground(2), make_forward_path(1.0), resolve_schedule("linear"), diag)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: sample(driver_ground(2), shots=0, seed=0), "need shots >= 1, got 0"),
+    (lambda: driver_ground(0), "need n >= 1, got 0"),
+    (lambda: QuantumState(2, np.ones(3) / math.sqrt(3)), r"need 2\^2 amplitudes, got shape \(3,\)"),
+], ids=["sample-shots", "driver-ground", "state-length"])
+def test_dynamics_refuses_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

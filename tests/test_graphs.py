@@ -119,3 +119,15 @@ def test_fixed_seed_snapshot_pins_the_rng_stream():
     assert g.edges[:6] == ((0, 2), (0, 5), (0, 9), (0, 10), (0, 11), (1, 2))
     assert g.edges[-4:] == ((10, 12), (10, 13), (10, 14), (12, 13))
     assert sum(u + v for u, v in g.edges) == 785
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Graph(0), "graph needs at least one vertex, got 0"),
+    (lambda: Graph.from_json('{"n": 2, "edges": [[0]]}'),
+     r"graph 'edges' must be a list of \[u, v\] integer pairs"),
+    (lambda: generate_er(3, 1.5, 0), r"edge probability must be in \[0, 1\], got 1.5"),
+    (lambda: generate_er(0, 0.5, 0), "need n >= 1, got 0"),
+], ids=["no-vertices", "malformed-edge", "er-probability", "er-size"])
+def test_graphs_refuse_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -194,3 +194,24 @@ def test_path_guards():
         AnnealPath(np.array([0.0, 1.0]), np.array([0.0, 1.5]))
     with pytest.raises(ValueError):
         AnnealPath(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
+
+
+def test_loader_names_a_short_row():
+    with pytest.raises(ScheduleError, match="every row needs exactly three columns; row 1 has 2"):
+        Schedule.from_csv_text("s,a,b\n0,0,1\n1,1\n")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Schedule("x", [0.0, 1.0], [0.0, 0.5, 1.0], [1.0, 0.0]), "matching s/a/b columns"),
+    (lambda: Schedule("x", [0.0], [1.0], [1.0]), "at least two rows"),
+    (lambda: Schedule("x", [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]), r"a\(1\) > 0 and b\(0\) > 0"),
+    (lambda: AnnealPath([0.0, 1.0], [0.0, 0.5, 1.0]), "matching time and s arrays"),
+    (lambda: AnnealPath([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.4, 1.0], kind="forward"),
+     "forward path must ramp monotonically"),
+    (lambda: AnnealPath([0.0, 1.0, 2.0], [1.0, 0.5, 0.9], kind="reverse"),
+     "reverse path must start and end at s=1"),
+], ids=["schedule-columns", "schedule-one-row", "schedule-a1-zero", "path-arrays",
+        "forward-not-monotone", "reverse-end"])
+def test_schedules_and_paths_refuse_bad_tables(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

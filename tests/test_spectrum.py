@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annealab.coloring_qubo import all_bitstrings, build_coloring_qubo, brute_force_solve
 from annealab.graphs import Graph, complete_graph, generate_er, path_graph
+from annealab import spectrum
 from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
     GATHER_BLOCK,
@@ -358,3 +360,52 @@ def test_table_csv(tmp_path):
     assert len(lines) == 8
     back = np.loadtxt(f, delimiter=",", skiprows=1)
     assert np.allclose(back[:, 1:], table.levels)
+
+
+def test_sweep_refuses_a_bad_grid_point_before_the_first_solve(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved a grid point before refusing the grid")
+
+    monkeypatch.setattr(spectrum, "lowest_eigenvalues", unreachable)
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(3), 2))
+    with pytest.raises(ValueError, match=r"s must be within \[0, 1\], got 1\.5"):
+        spectrum_sweep(LIN, diag, grid=[0.5, 1.5], m=3)
+
+
+def test_sweep_refuses_a_negative_level_count():
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(3), 2))
+    with pytest.raises(ValueError, match="need 1 <= m <= 64, got -3"):
+        spectrum_sweep(LIN, diag, grid=[0.5], m=-3)
+
+
+def test_iterative_solver_gives_up_after_three_restarts(monkeypatch):
+    starts = []
+
+    def no_convergence(op, k, **kw):
+        starts.append(kw["v0"])
+        vecs = np.full((op.shape[0], 1), 0.25)
+        raise ArpackNoConvergence("no convergence", np.array([0.0]), vecs)
+
+    monkeypatch.setattr(spectrum, "eigsh", no_convergence)
+    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(2), 2))
+    with pytest.raises(SpectrumError, match="at s = 0.5: extremal eigensolver failed to "
+                                            "converge after 3 seeded restarts"):
+        spectrum_sweep(LIN, diag, grid=[0.5], m=2)
+    assert len(starts) == 3
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ProblemDiagonal(2, np.zeros(3)), r"need 2\^2 diagonal entries, got shape \(3,\)"),
+    (lambda: apply_hamiltonian(0.5, LIN, ProblemDiagonal(2, np.zeros(4)), np.zeros(8)),
+     r"state shape \(8,\) does not match \(4,\)"),
+    (lambda: SpectrumTable(np.array([0.0, 1.0]), np.zeros((3, 2))),
+     r"levels must be \(len\(grid\), m\)"),
+    (lambda: SpectrumTable(np.array([0.5]), np.array([[1.0, 0.0]])),
+     "levels must be non-decreasing within each row"),
+    (lambda: min_gap(SpectrumTable(np.array([0.5]), np.array([[1.0]]))),
+     "need at least two levels"),
+], ids=["diagonal-length", "state-shape", "table-shape", "table-row-order", "one-level-gap"])
+def test_spectrum_refuses_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -220,3 +220,9 @@ def test_svmc_run_matches_array_loop_reference(data, ising, sched, sweeps, beta,
     kwargs = dict(initial=initial, sweeps_per_waypoint=sweeps, beta=beta, seed=seed)
     assert svmc_run(ising, sched, path, **kwargs) == \
         _svmc_run_reference(ising, sched, path, **kwargs)
+
+
+def test_svmc_run_refuses_zero_sweeps():
+    ising = qubo_to_ising(build_coloring_qubo(path_graph(2), 2))
+    with pytest.raises(ValueError, match="need sweeps_per_waypoint >= 1, got 0"):
+        svmc_run(ising, resolve_schedule("linear"), make_forward_path(1.0), sweeps_per_waypoint=0)
