@@ -296,3 +296,40 @@ def test_single_run_flags_are_unchanged():
     assert set(_options("generate")) == {"--n-vertices", "--p", "--count", "--seed", "--out"}
     assert set(_options("spectrum")) == {
         "--graph", "--k", "--schedule", "--levels", "--grid", "--out"}
+
+
+@pytest.mark.parametrize("argv, command, config, config_hash, outputs", [
+    (["generate", "--n-vertices", 3, "--count", 2, "--seed", 4, "--out", "./x/"], "generate",
+     {"count": 2, "n_vertices": 3, "out": "x", "p": 0.5, "seed": 4}, "0f4a9a7ac286",
+     ["graph_000.json", "graph_001.json", "instances.csv"]),
+    (["spectrum", "--graph", "p5.json", "--k", 2, "--levels", 3, "--grid", 4, "--out", "x"],
+     "spectrum", {"graph": "p5.json", "grid": 4, "k": 2, "levels": 3, "out": "x",
+                  "schedule": "linear"}, "c6bdcfc338cc", ["spectrum.csv"]),
+    # no --k: the manifest records the greedy count the run used
+    (["anneal", "--graph", "p5.json", "--backend", "svmc", "--svmc-sweeps", 5,
+      "--forward-shots", 3, "--max-cycles", 2, "--out", "./x/"], "anneal",
+     {"backend": "svmc", "forward_shots": 3, "forward_time_scale": None, "graph": "p5.json",
+      "k": 2, "max_cycles": 2, "out": "x", "policy": "feed-last", "ra_time_scale": None,
+      "s_prime": 0.44, "schedule": "linear", "seed": 0, "shots_per_cycle": 1,
+      "svmc_beta": 10.0, "svmc_sweeps": 5, "total_time": 100.0}, "3eb10ad14512",
+     ["anneal_record.jsonl"]),
+    (["anneal", "--graph", "p5.json", "--k", 2, "--schedule", "steep", "--forward-shots", 5,
+      "--max-cycles", 2, "--s-prime", 0.5, "--seed", 2, "--out", "x"], "anneal",
+     {"backend": "statevector", "forward_shots": 5, "forward_time_scale": None,
+      "graph": "p5.json", "k": 2, "max_cycles": 2, "out": "x", "policy": "feed-last",
+      "ra_time_scale": None, "s_prime": 0.5, "schedule": "steep", "seed": 2,
+      "shots_per_cycle": 1, "svmc_beta": 10.0, "svmc_sweeps": 1000, "total_time": 100.0},
+     "57333dcc3ab8", ["anneal_record.jsonl"]),
+], ids=["generate", "spectrum", "anneal-greedy-k", "anneal-statevector"])
+def test_single_run_manifests_are_pinned(tmp_path, p5_file, capsys, monkeypatch, argv, command,
+                                         config, config_hash, outputs):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    del manifest["versions"]
+    want = {"command": command, "config": config, "config_hash": config_hash,
+            "outputs": outputs}
+    if "seed" in config:
+        want["seeds"] = {"master": config["seed"]}
+    assert manifest == want
