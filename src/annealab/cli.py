@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coloring_qubo import build_coloring_qubo
 from .experiments import (
     BACKENDS,
     FIELD_TYPES,
@@ -23,16 +22,16 @@ from .experiments import (
     _write_csv,
     _write_jsonl,
     baseline_run,
+    coloring_problem,
     config_hash,
     instance,
     load_config,
     make_backend,
-    prepare_out,
     scaling_run,
     sweep_reverse_distance,
-    write_manifest,
+    write_run,
 )
-from .graphs import Graph, greedy_color_largest_first
+from .graphs import Graph
 from .heuristic import POLICIES, assisted_reverse_anneal
 from .schedules import resolve_schedule
 from .spectrum import SpectrumError, build_problem_diagonal, spectrum_sweep
@@ -40,11 +39,9 @@ from .spectrum import SpectrumError, build_problem_diagonal, spectrum_sweep
 CHOICES = {"backend": BACKENDS, "policy": POLICIES}
 HELP = {"k": "colors (default: greedy bound)", "out_dir": "output directory"}
 DEFAULTS = ExperimentConfig()
-# config fields the anneal command passes on to assisted_reverse_anneal
-ANNEAL_RUN_FIELDS = ("forward_shots", "seed", "total_time", "forward_time_scale",
-                     "ra_time_scale", "shots_per_cycle", "policy")
-ANNEAL_FIELDS = ("k", "schedule", *ANNEAL_RUN_FIELDS, "backend", "svmc_sweeps", "svmc_beta",
-                 "out_dir")
+ANNEAL_FIELDS = ("k", "schedule", "forward_shots", "seed", "total_time", "forward_time_scale",
+                 "ra_time_scale", "shots_per_cycle", "policy", "backend", "svmc_sweeps",
+                 "svmc_beta", "out_dir")
 
 
 def _dest(name: str) -> str:
@@ -70,24 +67,25 @@ def _load_graph(path: str) -> Graph:
     return Graph.load(p)
 
 
+def _flags(args, **resolved) -> dict:
+    """A single-run manifest's params: the parsed flags, `resolved` on top."""
+    flags = {name: v for name, v in vars(args).items() if name not in ("command", "fn")}
+    return {**flags, "out": str(Path(args.out)), **resolved}
+
+
 def cmd_generate(args) -> int:
-    params = dict(n_vertices=args.n_vertices, p=args.p, count=args.count, seed=args.seed)
-    config = ExperimentConfig(**params)  # the config's checks, before anything is written
-    out = prepare_out(args.out)
-    params["out"] = str(out)
-    names = []
-    rows = []
+    config = ExperimentConfig(**{f: getattr(args, f) for f in ("n_vertices", "p", "count", "seed")})
+    files, rows = {}, []
     for i in range(args.count):
         problem = instance(config, i)
-        g, k = problem.source, problem.k
+        g = problem.source
         name = f"graph_{i:03d}.json"
-        g.save(out / name)
-        names.append(name)
+        files[name] = g.save
         rows.append({"index": i, "file": name, "n_vertices": g.n_vertices,
-                     "n_edges": len(g.edges), "greedy_k": k, "n_vars": problem.n_vars})
-    _write_csv(out / "instances.csv", rows)
-    write_manifest(out, "generate", params, names + ["instances.csv"])
-    print(f"wrote {args.count} graphs to {out}")
+                     "n_edges": len(g.edges), "greedy_k": problem.k, "n_vars": problem.n_vars})
+    files["instances.csv"] = partial(_write_csv, rows=rows)
+    write_run(args.out, "generate", _flags(args), files)
+    print(f"wrote {args.count} graphs to {Path(args.out)}")
     return 0
 
 
@@ -96,17 +94,11 @@ def cmd_spectrum(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     sched = resolve_schedule(args.schedule)
-    g = _load_graph(args.graph)
-    problem = build_coloring_qubo(g, args.k)
-    diag = build_problem_diagonal(problem)
+    diag = build_problem_diagonal(coloring_problem(_load_graph(args.graph), args.k))
     table = spectrum_sweep(sched, diag, grid=np.linspace(0.0, 1.0, args.grid),
                            m=args.levels)
-    out = prepare_out(args.out)
-    table.to_csv(out / "spectrum.csv")
-    params = dict(graph=args.graph, k=args.k, schedule=args.schedule,
-                  levels=args.levels, grid=args.grid, out=str(out))
-    write_manifest(out, "spectrum", params, ["spectrum.csv"])
-    print(f"wrote {out / 'spectrum.csv'} ({args.grid} rows x {args.levels} levels)")
+    write_run(args.out, "spectrum", _flags(args), {"spectrum.csv": table.to_csv})
+    print(f"wrote {Path(args.out) / 'spectrum.csv'} ({args.grid} rows x {args.levels} levels)")
     return 0
 
 
@@ -114,16 +106,14 @@ def cmd_anneal(args) -> int:
     # the config's checks on the fields anneal shares with it, before anything is written
     config = ExperimentConfig(**{name: getattr(args, _dest(name)) for name in ANNEAL_FIELDS})
     sched = resolve_schedule(args.schedule)
-    g = _load_graph(args.graph)
-    k = args.k if args.k is not None else greedy_color_largest_first(g)[0]
-    problem = build_coloring_qubo(g, k)
-    run = {name: getattr(args, name) for name in ("s_prime", "max_cycles", *ANNEAL_RUN_FIELDS)}
-    record = assisted_reverse_anneal(problem, make_backend(config), sched, **run)
-    out = prepare_out(args.out)
-    _write_jsonl(out / "anneal_record.jsonl", [record.to_dict()])
-    params = dict(run, graph=args.graph, k=k, schedule=args.schedule, backend=args.backend,
-                  svmc_sweeps=args.svmc_sweeps, svmc_beta=args.svmc_beta, out=str(out))
-    write_manifest(out, "anneal", params, ["anneal_record.jsonl"])
+    problem = coloring_problem(_load_graph(args.graph), args.k)
+    record = assisted_reverse_anneal(
+        problem, make_backend(config), sched, args.s_prime, forward_shots=args.forward_shots,
+        max_cycles=args.max_cycles, seed=args.seed, total_time=args.total_time,
+        forward_time_scale=args.forward_time_scale, ra_time_scale=args.ra_time_scale,
+        shots_per_cycle=args.shots_per_cycle, policy=args.policy)
+    write_run(args.out, "anneal", _flags(args, k=problem.k),
+              {"anneal_record.jsonl": partial(_write_jsonl, dicts=[record.to_dict()])})
     print(f"outcome: {record.outcome} after {len(record.cycles)} RA cycles "
           f"(forward valid {record.forward['valid_count']}/{record.forward['count']})")
     return 0

@@ -99,10 +99,7 @@ class QuboProblem:
         x = bits_to_array(bits) if isinstance(bits, str) else np.asarray(bits, dtype=np.float64)
         if x.shape != (self.n_vars,):
             raise ValueError(f"expected {self.n_vars} bits, got shape {x.shape}")
-        e = self.offset + float(np.dot(self._linear, x))
-        for i, j, v in self._quad:
-            e += v * x[i] * x[j]
-        return e
+        return float(self.energies(x[None, :])[0])
 
     def energies(self, batch: np.ndarray) -> np.ndarray:
         """Energies of a (m, n_vars) batch of 0/1 rows."""

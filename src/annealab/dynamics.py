@@ -238,7 +238,6 @@ def sample(state: QuantumState, shots: int, seed) -> list[str]:
         raise ValueError(f"need shots >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     p = state.probabilities()
-    p = np.clip(p, 0.0, None)
     p /= p.sum()
     idx = rng.choice(p.size, size=shots, p=p)
     return [index_to_bits(int(i), state.n_qubits) for i in idx]

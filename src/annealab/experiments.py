@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__ as _pkg_version
 from .coloring_qubo import QuboProblem, build_coloring_qubo
-from .graphs import generate_er, greedy_color_largest_first
+from .graphs import Graph, generate_er, greedy_color_largest_first
 from .heuristic import (
     FEED_LAST,
     POLICIES,
@@ -190,13 +190,16 @@ def make_backend(config: ExperimentConfig):
     return svmc if config.backend == "svmc" else StatevectorBackend(svmc)
 
 
+def coloring_problem(g: Graph, k: int | None) -> QuboProblem:
+    """The k-coloring QUBO of g; k None means g's greedy color count."""
+    return build_coloring_qubo(g, greedy_color_largest_first(g)[0] if k is None else k)
+
+
 def instance(config: ExperimentConfig, i: int, size: int | None = None) -> QuboProblem:
     """Problem i of the configured set (deterministic in config.seed)."""
     n = config.n_vertices if size is None else size
     tag = [config.seed, 0, i] if size is None else [config.seed, 0, size, i]
-    g = generate_er(n, config.p, tag)
-    k = config.k if config.k is not None else max(greedy_color_largest_first(g)[0], 1)
-    return build_coloring_qubo(g, k)
+    return coloring_problem(generate_er(n, config.p, tag), config.k)
 
 
 def _workers() -> int:
@@ -262,12 +265,12 @@ def _run_protocol(config: ExperimentConfig, command: str, jobs, csv_name: str, a
         (r for batch in _pmap(run, jobs) for r in batch),
         key=lambda r: (r.record.problem_id, r.record.path_info["s_prime"], r.series or ""))
     rows = aggregate(results)
-    out = prepare_out(config.out_dir if out_dir is None else out_dir)
-    _write_csv(out / csv_name, rows)
-    records = f"{command}_records.jsonl"
-    _write_jsonl(out / records, (
-        {**r.record.to_dict(), **({"series": r.series} if r.series else {})} for r in results))
-    write_manifest(out, command, config.to_dict(), [csv_name, records])
+    write_run(config.out_dir if out_dir is None else out_dir, command, config.to_dict(), {
+        csv_name: partial(_write_csv, rows=rows),
+        f"{command}_records.jsonl": partial(_write_jsonl, dicts=(
+            {**r.record.to_dict(), **({"series": r.series} if r.series else {})}
+            for r in results)),
+    })
     return rows
 
 
@@ -349,13 +352,6 @@ def baseline_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
                          partial(_baseline_rows, config.s_grid), out_dir)
 
 
-def prepare_out(path) -> Path:
-    """The output directory, created if missing."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _averages(groups: dict[tuple, list[dict]], key_names: tuple[str, ...]) -> list[dict]:
     """One row per group: its key, its size as n_problems, and avg_<name>
     for every count its dicts carry."""
@@ -379,13 +375,17 @@ def _write_jsonl(path, dicts):
             f.write(json.dumps(d, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir, command: str, params: dict, outputs):
-    """Everything needed to replay the run; no timestamps, so replays of the
-    same config are byte-identical. `params` is a batch config's to_dict()
-    or a single-run command's parameters."""
+def write_run(out_dir, command: str, params: dict, files: dict) -> None:
+    """Create out_dir, call files[name](out_dir / name) for each output, then
+    write manifest.json: all a replay needs and no timestamps, so replays are
+    byte-identical. `params` is a config's to_dict() or a command's flags."""
     import numpy
     import scipy
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
     manifest = {
         "command": command,
         "config": params,
@@ -395,13 +395,13 @@ def write_manifest(out_dir, command: str, params: dict, outputs):
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
     }
     if "seed" in params:
         manifest["seeds"] = {"master": params["seed"]}
     if "ra_samples" in params:
         manifest["sample_accounting"] = "ra_samples counts chained reverse-anneal cycles"
-    with open(Path(out_dir) / "manifest.json", "w") as f:
+    with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -41,7 +41,6 @@ class SvmcBackend:
     """
 
     kind: ClassVar[str] = "svmc"
-    max_qubits: ClassVar[int | None] = None
     sweeps_per_waypoint: int = svmc.DEFAULT_SWEEPS_PER_WAYPOINT
     beta: float = svmc.DEFAULT_BETA
 
@@ -78,8 +77,7 @@ class StatevectorBackend:
     """Unitary-evolution sampler; exact but capped at 20 qubits."""
 
     kind: ClassVar[str] = "statevector"
-    max_qubits: ClassVar[int | None] = QUBIT_CAP
-    # what resolve_backend swaps in past max_qubits
+    # what run_problem swaps in past QUBIT_CAP
     fallback: SvmcBackend = SvmcBackend()
 
     def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
@@ -97,14 +95,6 @@ class StatevectorBackend:
             build_problem_diagonal(problem), sched, path, initial, shots=shots, seed=seed,
             time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
         )
-
-
-def resolve_backend(problem: QuboProblem, backend):
-    """Swap in the backend's fallback rotor sampler when the problem exceeds
-    its cap."""
-    if backend.max_qubits is not None and problem.n_vars > backend.max_qubits:
-        return backend.fallback, True
-    return backend, False
 
 
 def select_initial(samples: list[Sample], seed) -> str:
@@ -215,9 +205,12 @@ def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, sele
     forward samples and record the forward summary; given bits record none.
     With halt_on_valid a valid forward sample solves the problem, so the
     chains that would start from the selection run no cycle and record
-    solved-by-forward.
+    solved-by-forward. A StatevectorBackend hands a problem past QUBIT_CAP
+    to its fallback rotor sampler, and the records say so.
     """
-    backend, substituted = resolve_backend(problem, backend)
+    substituted = isinstance(backend, StatevectorBackend) and problem.n_vars > QUBIT_CAP
+    if substituted:
+        backend = backend.fallback
     fwd = backend.forward(problem, sched, total_time=total_time, shots=forward_shots,
                           seed=forward_seed, time_scale=forward_time_scale)
     summary = {"count": len(fwd), "valid_count": sum(s.valid for s in fwd),

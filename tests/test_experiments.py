@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealab import svmc
 from annealab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -19,8 +20,9 @@ from annealab.experiments import (
     sweep_reverse_distance,
 )
 from annealab.coloring_qubo import validate
-from annealab.heuristic import StatevectorBackend, SvmcBackend, problem_id, resolve_backend
-from annealab.schedules import reverse_distance_grid
+from annealab.heuristic import (StatevectorBackend, SvmcBackend, assisted_reverse_anneal,
+                                problem_id)
+from annealab.schedules import resolve_schedule, reverse_distance_grid
 
 
 def tiny_config(**over):
@@ -277,12 +279,21 @@ def test_rejected_run_creates_no_output_directory(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_substituted_rotor_sampler_keeps_the_run_settings():
+def test_substituted_rotor_sampler_keeps_the_run_settings(monkeypatch):
     big = instance(tiny_config(n_vertices=5, k=5), 0)  # 25 variables
-    backend, substituted = resolve_backend(big, make_backend(
-        tiny_config(backend="statevector", svmc_sweeps=7, svmc_beta=3.0)))
-    assert substituted
-    assert (backend.kind, backend.sweeps_per_waypoint, backend.beta) == ("svmc", 7, 3.0)
+    settings = set()
+    svmc_run = svmc.svmc_run
+
+    def spy(*args, **kwargs):
+        settings.add((kwargs["sweeps_per_waypoint"], kwargs["beta"]))
+        return svmc_run(*args, **kwargs)
+
+    monkeypatch.setattr(svmc, "svmc_run", spy)
+    rec = assisted_reverse_anneal(
+        big, make_backend(tiny_config(backend="statevector", svmc_sweeps=7, svmc_beta=3.0)),
+        resolve_schedule("linear"), s_prime=0.5, forward_shots=2, max_cycles=1)
+    assert (rec.backend_kind, rec.backend_substituted) == ("svmc", True)
+    assert settings == {(7, 3.0)}
 
 
 def test_make_backend_builds_the_named_backend_with_the_run_settings():

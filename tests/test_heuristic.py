@@ -28,7 +28,6 @@ from annealab.heuristic import (
     SvmcBackend,
     assisted_reverse_anneal,
     problem_id,
-    resolve_backend,
     run_chain,
     select_initial,
 )
@@ -49,7 +48,6 @@ class ScriptedBackend:
     """Replays canned outputs; records the inputs it was fed."""
 
     kind = "scripted"
-    max_qubits = None
 
     def __init__(self, problem, script):
         self.problem = problem
@@ -178,8 +176,6 @@ def test_statevector_cap_is_enforced():
 
 def test_oversize_problem_falls_back_to_rotor_backend():
     big = build_coloring_qubo(path_graph(5), 5)
-    backend, swapped = resolve_backend(big, StatevectorBackend())
-    assert swapped and backend.kind == "svmc"
     rec = assisted_reverse_anneal(
         big, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
         forward_shots=2, max_cycles=1, seed=0,
