@@ -64,7 +64,10 @@ def _load_graph(path: str) -> Graph:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"graph file not found: {p}")
-    return Graph.load(p)
+    try:
+        return Graph.load(p)
+    except ValueError as e:
+        raise ConfigError(f"{p}: {e}") from e
 
 
 def _flags(args, **resolved) -> dict:

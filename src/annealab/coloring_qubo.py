@@ -156,8 +156,8 @@ def build_coloring_qubo(g: Graph, k: int, penalty: float = 1.0) -> QuboProblem:
     """One-hot k-coloring QUBO for g. Minimum value is 0 iff g is k-colorable."""
     if k < 1:
         raise ValueError(f"need at least one color, got k={k}")
-    if penalty <= 0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
+    if not 0 < penalty < np.inf:
+        raise ValueError(f"penalty must be positive and finite, got {penalty}")
     idx = lambda v, c: v * k + c
     table: dict[tuple[int, int], float] = {}
     for v in range(g.n_vertices):

@@ -199,8 +199,8 @@ def evolve(
     Equal inputs return the memoized state of the first call."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
-    if accuracy <= 0 or time_scale <= 0:
-        raise ValueError("accuracy and time_scale must be positive")
+    if not (0 < accuracy < math.inf and 0 < time_scale < math.inf):
+        raise ValueError("accuracy and time_scale must be positive and finite")
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
     final = _MEMO.get(key)
     if final is not None:

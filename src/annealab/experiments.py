@@ -417,7 +417,10 @@ def load_config(path, command: str, **overrides) -> ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
         if isinstance(data, dict) and "config" in data and "command" in data:
             if data["command"] != command:
                 raise ConfigError(f"{path} is a {data['command']!r} manifest; "

@@ -47,8 +47,8 @@ class SvmcBackend:
     def _sweeps(self, time_scale) -> int:
         if time_scale is None:
             return self.sweeps_per_waypoint
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale}")
+        if not 0 < time_scale < np.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
         return max(1, round(self.sweeps_per_waypoint * time_scale))
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):

@@ -123,6 +123,8 @@ class AnnealPath:
         s = np.asarray(self.svals, dtype=np.float64)
         if t.ndim != 1 or t.shape != s.shape or t.size < 2:
             raise ValueError("path needs matching time and s arrays with at least two points")
+        if not (np.isfinite(t).all() and np.isfinite(s).all()):
+            raise ValueError("path waypoints must be finite")
         if abs(t[0]) > 1e-12 or np.any(np.diff(t) <= 0):
             raise ValueError("waypoint times must start at 0 and strictly increase")
         if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
@@ -154,13 +156,15 @@ class AnnealPath:
     def check_start(self, initial, n: int) -> None:
         """The one start rule for both samplers: a reverse path starts from
         the bitstring `initial`, a forward path from the driver ground state
-        (initial None), and `initial` has one bit per variable."""
+        (initial None), and `initial` has one 0 or 1 per variable."""
         if self.kind == "reverse" and initial is None:
             raise ValueError("reverse path needs an initial bitstring")
         if self.kind == "forward" and initial is not None:
             raise ValueError("forward path takes no initial bitstring")
         if initial is not None and len(initial) != n:
             raise ValueError(f"initial has {len(initial)} bits, problem has {n} variables")
+        if initial is not None and not set(initial) <= {"0", "1"}:
+            raise ValueError(f"initial must be a string of 0s and 1s, got {initial!r}")
 
     def reversed(self) -> "AnnealPath":
         """Time-mirrored path covering the same s values backwards."""

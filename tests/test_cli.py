@@ -116,6 +116,17 @@ def test_malformed_graph_file_is_a_clean_error(tmp_path, capsys, content, expect
     assert not (tmp_path / "o").exists()
 
 
+def test_graph_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1] [1, 2]]}')
+    for command in ("anneal", "spectrum"):
+        code, stdout, err = run([command, "--graph", graph, "--k", 2, "--out", tmp_path / "o"],
+                                capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {graph}: Expecting ',' delimiter: line 1 column 27 (char 26)\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--svmc-beta", "nan", "svmc_beta must be positive, got nan"),
     ("--svmc-sweeps", 0, "svmc_sweeps must be >= 1, got 0"),
@@ -267,6 +278,15 @@ def test_bad_config_file_is_a_clean_error(tmp_path, capsys, content, expected):
     code, _, err = run(["sweep", "--config", cfg_file, "--out", tmp_path / "o"], capsys)
     assert code == 1
     assert err.startswith("error: ") and expected in err
+
+
+def test_config_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text('{"count": 1 "seed": 2}')
+    code, stdout, err = run(["sweep", "--config", cfg_file, "--out", tmp_path / "o"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {cfg_file}: Expecting ',' delimiter: line 1 column 13 (char 12)\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _options(command) -> dict[str, str]:

@@ -222,7 +222,10 @@ def test_guards():
     (lambda: IsingProblem(2, (0.0, 0.0), ((1, 0, 1.0),)),
      r"coupling \(1, 0\) must satisfy 0 <= i < j < n_spins"),
     (lambda: decode(QuboProblem(2), "01"), "QUBO has no variable map"),
-], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map"])
+    (lambda: build_coloring_qubo(path_graph(3), 2, penalty=float("nan")),
+     "penalty must be positive and finite, got nan"),
+], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map",
+        "penalty-nan"])
 def test_problems_refuse_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

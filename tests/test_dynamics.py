@@ -363,11 +363,19 @@ def test_evolve_raises_when_the_norm_drifts_past_the_bound(monkeypatch):
         evolve(driver_ground(2), make_forward_path(1.0), resolve_schedule("linear"), diag)
 
 
+def _guard_evolve(**kw):
+    diag = p5_diag(1)
+    return evolve(driver_ground(5), make_forward_path(1.0), resolve_schedule("linear"), diag, **kw)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: sample(driver_ground(2), shots=0, seed=0), "need shots >= 1, got 0"),
     (lambda: driver_ground(0), "need n >= 1, got 0"),
     (lambda: QuantumState(2, np.ones(3) / math.sqrt(3)), r"need 2\^2 amplitudes, got shape \(3,\)"),
-], ids=["sample-shots", "driver-ground", "state-length"])
+    (lambda: _guard_evolve(accuracy=math.nan), "accuracy and time_scale must be positive and"),
+    (lambda: _guard_evolve(time_scale=math.nan), "accuracy and time_scale must be positive and"),
+], ids=["sample-shots", "driver-ground", "state-length", "evolve-accuracy-nan",
+        "evolve-time-scale-nan"])
 def test_dynamics_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -293,10 +293,10 @@ def test_readme_tour_runs_verbatim(capsys):
     assert capsys.readouterr().out == "solved-by-forward None 0\n"
 
 
-def _guard_run_chain(**kw):
+def _guard_run_chain(backend=SvmcBackend(5), initial="0" * P5.n_vars, **kw):
     sched, path = resolve_schedule("steep"), make_reverse_path(0.44, 100.0)
     args = dict(n_cycles=1, seed=0) | kw
-    return run_chain(P5, SvmcBackend(5), sched, path, "0" * P5.n_vars, **args)
+    return run_chain(P5, backend, sched, path, initial, **args)
 
 
 def _guard_assisted(**kw):
@@ -311,9 +311,17 @@ def _guard_assisted(**kw):
     (lambda: _guard_assisted(forward_shots=0), "need forward_shots >= 1, got 0"),
     (lambda: _guard_assisted(max_cycles=-1), "need max_cycles >= 0, got -1"),
     (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), shots=1, time_scale=0.0),
-     "time_scale must be positive, got 0.0"),
+     "time_scale must be positive and finite, got 0.0"),
+    (lambda: SvmcBackend(5).reverse(P5, resolve_schedule("steep"), make_reverse_path(0.44, 1.0),
+                                    "0" * P5.n_vars, time_scale=float("nan")),
+     "time_scale must be positive and finite, got nan"),
+    (lambda: _guard_run_chain(initial="2020" + "0" * 6),
+     "initial must be a string of 0s and 1s, got '2020000000'"),
+    (lambda: _guard_run_chain(backend=StatevectorBackend(), initial="2020" + "0" * 6),
+     "initial must be a string of 0s and 1s, got '2020000000'"),
 ], ids=["policy", "shots-per-cycle", "negative-seed", "float-seed", "forward-shots",
-        "max-cycles", "svmc-time-scale"])
+        "max-cycles", "svmc-time-scale", "svmc-time-scale-nan", "start-bits-svmc",
+        "start-bits-statevector"])
 def test_heuristic_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -210,8 +210,10 @@ def test_loader_names_a_short_row():
      "forward path must ramp monotonically"),
     (lambda: AnnealPath([0.0, 1.0, 2.0], [1.0, 0.5, 0.9], kind="reverse"),
      "reverse path must start and end at s=1"),
+    (lambda: make_reverse_path(0.5, float("nan")), "path waypoints must be finite"),
+    (lambda: make_forward_path(float("inf")), "path waypoints must be finite"),
 ], ids=["schedule-columns", "schedule-one-row", "schedule-a1-zero", "path-arrays",
-        "forward-not-monotone", "reverse-end"])
+        "forward-not-monotone", "reverse-end", "reverse-time-nan", "forward-time-inf"])
 def test_schedules_and_paths_refuse_bad_tables(call, match):
     with pytest.raises(ValueError, match=match):
         call()

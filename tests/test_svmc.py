@@ -98,6 +98,9 @@ def test_initial_bitstring_guards(sampler):
         run(problem, resolve_schedule("linear"), make_forward_path(1.0), initial="0" * 10)
     with pytest.raises(ValueError, match="initial has 2 bits, problem has 10 variables"):
         run(problem, resolve_schedule("linear"), make_reverse_path(0.5, 1.0), initial="01")
+    with pytest.raises(ValueError, match="initial must be a string of 0s and 1s, got 'ab01"):
+        run(problem, resolve_schedule("linear"), make_reverse_path(0.5, 1.0),
+            initial="ab01" + "0" * 6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
