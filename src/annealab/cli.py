@@ -97,10 +97,11 @@ def cmd_spectrum(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     sched = resolve_schedule(args.schedule)
-    diag = build_problem_diagonal(coloring_problem(_load_graph(args.graph), args.k))
+    problem = coloring_problem(_load_graph(args.graph), args.k)
+    diag = build_problem_diagonal(problem)
     table = spectrum_sweep(sched, diag, grid=np.linspace(0.0, 1.0, args.grid),
                            m=args.levels)
-    write_run(args.out, "spectrum", _flags(args), {"spectrum.csv": table.to_csv})
+    write_run(args.out, "spectrum", _flags(args, k=problem.k), {"spectrum.csv": table.to_csv})
     print(f"wrote {Path(args.out) / 'spectrum.csv'} ({args.grid} rows x {args.levels} levels)")
     return 0
 
@@ -148,10 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="tabulate the low-lying spectrum over s")
     p.add_argument("--graph", required=True, help="graph JSON file")
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--levels", type=int, default=15)
     p.add_argument("--grid", type=int, default=100)
-    _add_config_flags(p, ("schedule", "out_dir"), defaults=True)
+    _add_config_flags(p, ("k", "schedule", "out_dir"), defaults=True)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("anneal", help="run the assisted reverse-anneal algorithm once")

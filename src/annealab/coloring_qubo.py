@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,18 +82,6 @@ class QuboProblem:
                 raise ValueError(f"duplicate entry ({i}, {j})")
             seen.add((i, j))
 
-    @cached_property
-    def _linear(self) -> np.ndarray:
-        lin = np.zeros(self.n_vars)
-        for i, j, v in self.q:
-            if i == j:
-                lin[i] = v
-        return lin
-
-    @cached_property
-    def _quad(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple((i, j, v) for i, j, v in self.q if i != j)
-
     def energy(self, bits) -> float:
         x = bits_to_array(bits) if isinstance(bits, str) else np.asarray(bits, dtype=np.float64)
         if x.shape != (self.n_vars,):
@@ -104,9 +91,14 @@ class QuboProblem:
     def energies(self, batch: np.ndarray) -> np.ndarray:
         """Energies of a (m, n_vars) batch of 0/1 rows."""
         x = np.asarray(batch, dtype=np.float64)
-        e = self.offset + x @ self._linear
-        for i, j, v in self._quad:
-            e = e + v * x[:, i] * x[:, j]
+        linear = np.zeros(self.n_vars)
+        for i, j, v in self.q:
+            if i == j:
+                linear[i] = v
+        e = self.offset + x @ linear
+        for i, j, v in self.q:
+            if i != j:
+                e = e + v * x[:, i] * x[:, j]
         return e
 
     def to_json(self) -> str:

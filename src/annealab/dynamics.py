@@ -250,7 +250,6 @@ def anneal(
     initial=None,
     shots: int = 1,
     seed=0,
-    accuracy: float = DEFAULT_ACCURACY,
     time_scale: float = 1.0,
 ) -> list[Sample]:
     """Evolve along the path and measure `shots` times. The start is the
@@ -258,6 +257,6 @@ def anneal(
     bitstring `initial` (see AnnealPath.check_start)."""
     path.check_start(initial, diag.n_qubits)
     start = driver_ground(diag.n_qubits) if initial is None else basis_state(initial)
-    final = evolve(start, path, sched, diag, accuracy, time_scale)
+    final = evolve(start, path, sched, diag, time_scale=time_scale)
     return [Sample.scored(bits, float(diag.values[bits_to_index(bits)]))
             for bits in sample(final, shots, seed)]

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from . import __version__ as _pkg_version
 from .coloring_qubo import QuboProblem, build_coloring_qubo
+from .dynamics import DEFAULT_TOTAL_TIME
 from .graphs import Graph, generate_er, greedy_color_largest_first
 from .heuristic import (
     FEED_LAST,
@@ -77,7 +78,7 @@ class ExperimentConfig:
     s_grid: tuple[float, ...] = field(default_factory=lambda: tuple(reverse_distance_grid()))
     forward_shots: int = 100
     ra_samples: int = 100  # chained RA cycles per s'
-    total_time: float = 100.0
+    total_time: float = DEFAULT_TOTAL_TIME
     forward_time_scale: float | None = None
     ra_time_scale: float | None = None
     shots_per_cycle: int = 1

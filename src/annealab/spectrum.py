@@ -40,6 +40,8 @@ QUBIT_CAP = 20
 # a bit below log2(GATHER_BLOCK) never leaves its block
 GATHER_BITS = 6
 GATHER_BLOCK = 1 << 12
+# min_gap counts a level within this of the ground level as degenerate with it
+DEGENERACY_TOL = 1e-7
 
 
 class SpectrumError(RuntimeError):
@@ -132,20 +134,16 @@ def driver_apply(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _h_matvec(a_diag: np.ndarray, b: float, state: np.ndarray) -> np.ndarray:
-    """a_diag * state + b * driver_apply(state), a_diag being a(s) times the
-    problem diagonal: the H(s) matvec of apply_hamiltonian and the eigensolver."""
-    out = a_diag * state
+def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: np.ndarray) -> np.ndarray:
+    """H(s)|state> = (a(s) * diag) * state + b(s) * driver_apply(state),
+    matrix-free in O(n 2^n); the one H(s) matvec."""
+    if state.shape != diag.values.shape:
+        raise ValueError(f"state shape {state.shape} does not match {diag.values.shape}")
+    out = float(sched.a(s)) * diag.values * state
+    b = float(sched.b(s))
     if b != 0.0:
         out = out + b * driver_apply(state)
     return out
-
-
-def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: np.ndarray) -> np.ndarray:
-    """H(s)|state>, matrix-free in O(n 2^n)."""
-    if state.shape != diag.values.shape:
-        raise ValueError(f"state shape {state.shape} does not match {diag.values.shape}")
-    return _h_matvec(float(sched.a(s)) * diag.values, float(sched.b(s)), state)
 
 
 def _sector_hamiltonians(a: float, b: float, diag: ProblemDiagonal):
@@ -186,7 +184,7 @@ def _check_request(svals, m: int, diag: ProblemDiagonal) -> None:
         raise ValueError(f"need 1 <= m <= {dim}, got {m}")
 
 
-def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int = 15) -> np.ndarray:
+def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int) -> np.ndarray:
     """The m smallest eigenvalues of H(s), ascending.
 
     Where a(s) or b(s) is 0, H(s) is diagonal (in the x basis if a is 0)
@@ -211,8 +209,8 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int 
                                     subset_by_index=(0, min(m, len(h)) - 1))
                   for h in _sector_hamiltonians(a, b, diag) if len(h)]
         return np.sort(np.concatenate(levels))[:m]
-    a_diag = a * diag.values
-    op = LinearOperator((dim, dim), matvec=lambda x: _h_matvec(a_diag, b, x), dtype=np.float64)
+    op = LinearOperator((dim, dim), matvec=lambda x: apply_hamiltonian(s, sched, diag, x),
+                        dtype=np.float64)
     last_residual = np.nan
     for attempt in range(3):
         v0 = np.random.default_rng(20_000 + attempt).standard_normal(dim)
@@ -233,8 +231,8 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int 
                 res = op.matvec(vecs[:, 0]) - vals_part[0] * vecs[:, 0]
                 last_residual = float(np.linalg.norm(res))
     raise SpectrumError(
-        f"extremal eigensolver failed to converge after 3 seeded restarts "
-        f"(last residual norm {last_residual:.3e})"
+        f"at s = {s:.6g}: extremal eigensolver failed to converge after 3 seeded "
+        f"restarts (last residual norm {last_residual:.3e})"
     )
 
 
@@ -267,33 +265,28 @@ class SpectrumTable:
                 f.write(f"{s:.10g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def spectrum_sweep(sched: Schedule, diag: ProblemDiagonal, grid=None, m: int = 15) -> SpectrumTable:
-    """lowest_eigenvalues over an s grid (default: 100 equal steps over [0, 1]);
-    a grid point outside [0, 1] or a bad m is refused before the first solve."""
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 100)
+def spectrum_sweep(sched: Schedule, diag: ProblemDiagonal, grid, m: int) -> SpectrumTable:
+    """lowest_eigenvalues over an s grid; a grid point outside [0, 1] or a
+    bad m is refused before the first solve."""
     grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     _check_request(grid, m, diag)
     levels = np.empty((grid.size, m))
     for i, s in enumerate(grid):
-        try:
-            levels[i] = lowest_eigenvalues(float(s), sched, diag, m)
-        except SpectrumError as err:
-            raise SpectrumError(f"at s = {s:.6g}: {err}") from err
+        levels[i] = lowest_eigenvalues(float(s), sched, diag, m)
     return SpectrumTable(grid, levels)
 
 
-def min_gap(table: SpectrumTable, degeneracy_tol: float = 1e-7) -> tuple[float, float]:
+def min_gap(table: SpectrumTable) -> tuple[float, float]:
     """Smallest distance between the ground level and the first level strictly
-    above it (by more than degeneracy_tol), over the grid. Returns (s, gap) at
+    above it (by more than DEGENERACY_TOL), over the grid. Returns (s, gap) at
     the first grid point attaining the minimum."""
     if table.m < 2:
         raise ValueError("need at least two levels to measure a gap")
     best_s, best_gap = None, np.inf
     for s, row in zip(table.grid, table.levels):
-        above = row[row > row[0] + degeneracy_tol]
+        above = row[row > row[0] + DEGENERACY_TOL]
         if above.size == 0:
             continue
         gap = float(above[0] - row[0])
@@ -301,6 +294,6 @@ def min_gap(table: SpectrumTable, degeneracy_tol: float = 1e-7) -> tuple[float, 
             best_s, best_gap = float(s), gap
     if best_s is None:
         raise SpectrumError(
-            f"all {table.m} levels degenerate within {degeneracy_tol} at every grid point"
+            f"all {table.m} levels degenerate within {DEGENERACY_TOL} at every grid point"
         )
     return best_s, best_gap

@@ -307,7 +307,7 @@ def test_endpoint_levels_past_the_dense_limit():
 def test_sweep_shape_and_endpoints():
     q = build_coloring_qubo(path_graph(3), 2)
     diag = build_problem_diagonal(q)
-    table = spectrum_sweep(LIN, diag, m=4)
+    table = spectrum_sweep(LIN, diag, grid=np.linspace(0.0, 1.0, 100), m=4)
     assert table.grid.shape == (100,)
     assert table.levels.shape == (100, 4)
     assert table.grid[0] == 0.0 and table.grid[-1] == 1.0
