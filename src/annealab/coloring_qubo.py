@@ -37,7 +37,15 @@ def bits_to_index(bits) -> int:
 
 
 def bits_to_array(bits) -> np.ndarray:
-    return np.array([int(b) for b in bits], dtype=np.uint8)
+    """The uint8 array of a string of 0s and 1s or a sequence of 0/1 values:
+    the one bitstring conversion of energy and decode; any other character or
+    value is refused."""
+    # a character's byte minus that of "0" is 0 or 1 only for the two digits
+    x = (np.frombuffer(bits.encode(), np.uint8) - ord("0") if isinstance(bits, str)
+         else np.asarray(bits))
+    if not np.all((x == 0) | (x == 1)):
+        raise ValueError(f"bits must be 0s and 1s, got {bits!r}")
+    return x.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class QuboProblem:
             seen.add((i, j))
 
     def energy(self, bits) -> float:
-        x = bits_to_array(bits) if isinstance(bits, str) else np.asarray(bits, dtype=np.float64)
+        x = bits_to_array(bits)
         if x.shape != (self.n_vars,):
             raise ValueError(f"expected {self.n_vars} bits, got shape {x.shape}")
         return float(self.energies(x[None, :])[0])
@@ -200,7 +208,7 @@ def decode(q: QuboProblem, bits):
     otherwise a OneHotViolation naming the first offending vertex."""
     if not q.var_map:
         raise ValueError("QUBO has no variable map; not a coloring instance")
-    x = bits_to_array(bits) if isinstance(bits, str) else np.asarray(bits)
+    x = bits_to_array(bits)
     if x.shape != (q.n_vars,):
         raise ValueError(f"expected {q.n_vars} bits, got shape {x.shape}")
     coloring: dict[int, int] = {}

@@ -232,10 +232,15 @@ def evolve(
     return final
 
 
-def sample(state: QuantumState, shots: int, seed) -> list[str]:
-    """Born-rule draws, i.i.d., deterministic per seed."""
+def check_shots(shots: int) -> None:
+    """The one shot-count rule of both samplers, applied before any work."""
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
+
+
+def sample(state: QuantumState, shots: int, seed) -> list[str]:
+    """Born-rule draws, i.i.d., deterministic per seed."""
+    check_shots(shots)
     rng = np.random.default_rng(seed)
     p = state.probabilities()
     p /= p.sum()
@@ -256,6 +261,7 @@ def anneal(
     driver ground state when `initial` is None, else the basis state of the
     bitstring `initial` (see AnnealPath.check_start)."""
     path.check_start(initial, diag.n_qubits)
+    check_shots(shots)
     start = driver_ground(diag.n_qubits) if initial is None else basis_state(initial)
     final = evolve(start, path, sched, diag, time_scale=time_scale)
     return [Sample.scored(bits, float(diag.values[bits_to_index(bits)]))

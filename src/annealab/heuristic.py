@@ -53,6 +53,7 @@ class SvmcBackend:
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
         # every shot is an independent trajectory on its own child stream
+        dynamics.check_shots(shots)
         ising = qubo_to_ising(problem)
         return [
             svmc.svmc_run(
@@ -176,6 +177,7 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
+    path.check_start(initial, problem.n_vars)
     prefix = [*_as_entropy(seed), 2]
     cycles: list[CycleRecord] = []
     current = initial

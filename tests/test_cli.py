@@ -325,7 +325,11 @@ def test_single_run_flags_are_unchanged():
     (["spectrum", "--graph", "p5.json", "--k", 2, "--levels", 3, "--grid", 4, "--out", "x"],
      "spectrum", {"graph": "p5.json", "grid": 4, "k": 2, "levels": 3, "out": "x",
                   "schedule": "linear"}, "c6bdcfc338cc", ["spectrum.csv"]),
-    # no --k: the manifest records the greedy count the run used
+    # no --k: the manifest records the greedy count the run used, so it
+    # equals the one of the same run with --k 2
+    (["spectrum", "--graph", "p5.json", "--levels", 3, "--grid", 4, "--out", "./x/"],
+     "spectrum", {"graph": "p5.json", "grid": 4, "k": 2, "levels": 3, "out": "x",
+                  "schedule": "linear"}, "c6bdcfc338cc", ["spectrum.csv"]),
     (["anneal", "--graph", "p5.json", "--backend", "svmc", "--svmc-sweeps", 5,
       "--forward-shots", 3, "--max-cycles", 2, "--out", "./x/"], "anneal",
      {"backend": "svmc", "forward_shots": 3, "forward_time_scale": None, "graph": "p5.json",
@@ -340,7 +344,7 @@ def test_single_run_flags_are_unchanged():
       "ra_time_scale": None, "s_prime": 0.5, "schedule": "steep", "seed": 2,
       "shots_per_cycle": 1, "svmc_beta": 10.0, "svmc_sweeps": 1000, "total_time": 100.0},
      "57333dcc3ab8", ["anneal_record.jsonl"]),
-], ids=["generate", "spectrum", "anneal-greedy-k", "anneal-statevector"])
+], ids=["generate", "spectrum", "spectrum-greedy-k", "anneal-greedy-k", "anneal-statevector"])
 def test_single_run_manifests_are_pinned(tmp_path, p5_file, capsys, monkeypatch, argv, command,
                                          config, config_hash, outputs):
     monkeypatch.chdir(tmp_path)

@@ -224,8 +224,20 @@ def test_guards():
     (lambda: decode(QuboProblem(2), "01"), "QUBO has no variable map"),
     (lambda: build_coloring_qubo(path_graph(3), 2, penalty=float("nan")),
      "penalty must be positive and finite, got nan"),
+    (lambda: build_coloring_qubo(path_graph(2), 2).energy("2020"),
+     "bits must be 0s and 1s, got '2020'"),
+    (lambda: build_coloring_qubo(path_graph(2), 2).energy([0.5] * 4),
+     r"bits must be 0s and 1s, got \[0.5, 0.5, 0.5, 0.5\]"),
+    (lambda: decode(build_coloring_qubo(path_graph(2), 2), "2020"),
+     "bits must be 0s and 1s, got '2020'"),
+    (lambda: validate(build_coloring_qubo(path_graph(2), 2), np.array([0, 1, 2, 0])),
+     r"bits must be 0s and 1s, got array\(\[0, 1, 2, 0\]\)"),
+    (lambda: validate(replace(build_coloring_qubo(path_graph(2), 2), source=None), "01a0"),
+     "bits must be 0s and 1s, got '01a0'"),
+    (lambda: bits_to_array("0 10"), "bits must be 0s and 1s, got '0 10'"),
 ], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map",
-        "penalty-nan"])
+        "penalty-nan", "energy-digit-2", "energy-fraction", "decode-digit-2",
+        "validate-array-2", "validate-no-source-letter", "bits-space"])
 def test_problems_refuse_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -14,6 +14,7 @@ from annealab.coloring_qubo import (
     index_to_bits,
     validate,
 )
+from annealab import dynamics
 from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
 from annealab.graphs import complete_graph, path_graph
 from annealab.heuristic import (
@@ -319,9 +320,28 @@ def _guard_assisted(**kw):
      "initial must be a string of 0s and 1s, got '2020000000'"),
     (lambda: _guard_run_chain(backend=StatevectorBackend(), initial="2020" + "0" * 6),
      "initial must be a string of 0s and 1s, got '2020000000'"),
+    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), shots=0),
+     "need shots >= 1, got 0"),
+    (lambda: SvmcBackend(5).reverse(P5, resolve_schedule("steep"), make_reverse_path(0.44, 1.0),
+                                    "0" * P5.n_vars, shots=-1),
+     "need shots >= 1, got -1"),
 ], ids=["policy", "shots-per-cycle", "negative-seed", "float-seed", "forward-shots",
         "max-cycles", "svmc-time-scale", "svmc-time-scale-nan", "start-bits-svmc",
-        "start-bits-statevector"])
+        "start-bits-statevector", "svmc-shots-zero", "svmc-shots-negative"])
 def test_heuristic_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_statevector_backend_refuses_shots_before_evolving(monkeypatch, shots):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evolved before refusing the shot count")
+
+    monkeypatch.setattr(dynamics, "evolve", unreachable)
+    sched = resolve_schedule("steep")
+    with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
+        StatevectorBackend().forward(P5, sched, shots=shots)
+    with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
+        StatevectorBackend().reverse(P5, sched, make_reverse_path(0.44, 1.0), "0" * P5.n_vars,
+                                     shots=shots)

@@ -395,6 +395,18 @@ def test_iterative_solver_gives_up_after_three_restarts(monkeypatch):
     assert len(starts) == 3
 
 
+@pytest.mark.xfail(strict=True, reason="the iterative solver drops a copy of a level that a "
+                                       "symmetry of H(s) makes degenerate (ROADMAP item 7)")
+def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
+    # K3 at k=3 has every color permutation as a symmetry; today the forced
+    # iterative solve's 15th level is off by 0.0998
+    diag = build_problem_diagonal(build_coloring_qubo(complete_graph(3), 3))
+    dense = lowest_eigenvalues(0.5, LIN, diag, 15)
+    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    iterative = lowest_eigenvalues(0.5, LIN, diag, 15)
+    assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: ProblemDiagonal(2, np.zeros(3)), r"need 2\^2 diagonal entries, got shape \(3,\)"),
     (lambda: apply_hamiltonian(0.5, LIN, ProblemDiagonal(2, np.zeros(4)), np.zeros(8)),
