@@ -52,8 +52,8 @@ class SvmcBackend:
         return max(1, round(self.sweeps_per_waypoint * time_scale))
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
-        # every shot is an independent trajectory on its own child stream
         dynamics.check_shots(shots)
+        # every shot is an independent trajectory on its own child stream
         ising = qubo_to_ising(problem)
         return [
             svmc.svmc_run(
