@@ -2,6 +2,8 @@
 and rotor-sampler dynamics, and the forward-assisted reverse-annealing
 heuristic with its batch experiment protocols."""
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .coloring_qubo import (
@@ -10,7 +12,6 @@ from .coloring_qubo import (
     QuboProblem,
     Sample,
     bits_to_index,
-    brute_force_solve,
     build_coloring_qubo,
     decode,
     index_to_bits,
@@ -22,14 +23,11 @@ from .dynamics import (
     anneal,
     basis_state,
     driver_ground,
-    energy_expectation,
     evolve,
     sample,
 )
 from .graphs import (
     Graph,
-    complete_graph,
-    cycle_graph,
     generate_er,
     greedy_color_largest_first,
     is_proper_coloring,
@@ -61,50 +59,6 @@ from .spectrum import (
 )
 from .svmc import svmc_run
 
-__all__ = [
-    "AnnealPath",
-    "CycleRecord",
-    "Graph",
-    "IsingProblem",
-    "OneHotViolation",
-    "ProblemDiagonal",
-    "QuantumState",
-    "QuboProblem",
-    "RunRecord",
-    "Sample",
-    "Schedule",
-    "SpectrumTable",
-    "StatevectorBackend",
-    "SvmcBackend",
-    "__version__",
-    "anneal",
-    "assisted_reverse_anneal",
-    "basis_state",
-    "bits_to_index",
-    "brute_force_solve",
-    "build_coloring_qubo",
-    "build_problem_diagonal",
-    "complete_graph",
-    "cycle_graph",
-    "decode",
-    "driver_ground",
-    "energy_expectation",
-    "evolve",
-    "generate_er",
-    "greedy_color_largest_first",
-    "index_to_bits",
-    "is_proper_coloring",
-    "lowest_eigenvalues",
-    "make_forward_path",
-    "make_reverse_path",
-    "min_gap",
-    "path_graph",
-    "qubo_to_ising",
-    "resolve_schedule",
-    "reverse_distance_grid",
-    "sample",
-    "select_initial",
-    "spectrum_sweep",
-    "svmc_run",
-    "validate",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(["__version__", *(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType)))])

@@ -237,31 +237,3 @@ def validate(q: QuboProblem, bits) -> bool:
         return False
     return is_proper_coloring(q.source, coloring)
 
-
-def all_bitstrings(n: int) -> np.ndarray:
-    """(2^n, n) array of 0/1 rows; row r holds the little-endian bits of r."""
-    if n > 24:
-        raise ValueError(f"refusing to enumerate 2^{n} bitstrings")
-    r = np.arange(1 << n, dtype=np.uint32)
-    return ((r[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
-def brute_force_solve(q: QuboProblem) -> tuple[float, tuple[str, ...]]:
-    """Exhaustive minimum and every argmin bitstring. Guarded at 24 variables."""
-    if q.n_vars > 24:
-        raise ValueError(f"brute force limited to 24 variables, got {q.n_vars}")
-    best = np.inf
-    argmins: list[int] = []
-    total = 1 << q.n_vars
-    bit_cols = np.arange(q.n_vars, dtype=np.uint32)
-    chunk = 1 << 16  # basis states per energies() call
-    for start in range(0, total, chunk):
-        r = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        x = ((r[:, None] >> bit_cols) & 1).astype(np.float64)
-        e = q.energies(x)
-        lo = float(e.min())
-        if lo < best - 1e-12:
-            best = lo
-            argmins = []
-        argmins.extend(int(i) for i in r[e <= best + 1e-12])
-    return best, tuple(index_to_bits(i, q.n_vars) for i in sorted(argmins))

@@ -36,7 +36,7 @@ from scipy.special import jv
 
 from .coloring_qubo import Sample, bits_to_index, index_to_bits
 from .schedules import AnnealPath, Schedule
-from .spectrum import ProblemDiagonal, apply_hamiltonian, driver_apply
+from .spectrum import ProblemDiagonal, driver_apply
 
 DRIFT_BOUND = 1e-6
 # forward-anneal time scale calibrated so the P5/k=2 linear anneal leaves
@@ -88,10 +88,6 @@ def basis_state(bits) -> QuantumState:
     amp = np.zeros(1 << n, dtype=np.complex128)
     amp[bits_to_index(bits)] = 1.0
     return QuantumState(n, amp)
-
-
-def energy_expectation(s: float, sched: Schedule, diag: ProblemDiagonal, state: QuantumState) -> float:
-    return float(np.real(np.vdot(state.amplitudes, apply_hamiltonian(s, sched, diag, state.amplitudes))))
 
 
 def _bessel_series(alpha: float) -> np.ndarray:

@@ -81,14 +81,6 @@ def path_graph(n: int) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
 def generate_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each candidate edge kept independently with probability p.
 

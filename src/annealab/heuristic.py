@@ -64,12 +64,11 @@ class SvmcBackend:
             for child in np.random.SeedSequence(seed).spawn(shots)
         ]
 
-    def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
-                shots=1000, seed=0, time_scale=None):
+    def forward(self, problem, sched, total_time, shots, seed, time_scale=None):
         return self._batch(problem, sched, make_forward_path(total_time), None,
                            shots, seed, time_scale)
 
-    def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
+    def reverse(self, problem, sched, path, initial, shots, seed, time_scale=None):
         return self._batch(problem, sched, path, initial, shots, seed, time_scale)
 
 
@@ -81,8 +80,7 @@ class StatevectorBackend:
     # what run_problem swaps in past QUBIT_CAP
     fallback: SvmcBackend = SvmcBackend()
 
-    def forward(self, problem, sched, total_time=dynamics.DEFAULT_TOTAL_TIME,
-                shots=1000, seed=0, time_scale=None):
+    def forward(self, problem, sched, total_time, shots, seed, time_scale=None):
         """time_scale None means dynamics.SLOW_TIME_SCALE."""
         return dynamics.anneal(
             build_problem_diagonal(problem), sched, make_forward_path(total_time),
@@ -90,7 +88,7 @@ class StatevectorBackend:
             time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
         )
 
-    def reverse(self, problem, sched, path, initial, shots=1, seed=0, time_scale=None):
+    def reverse(self, problem, sched, path, initial, shots, seed, time_scale=None):
         """time_scale None means dynamics.REVERSE_TIME_SCALE."""
         return dynamics.anneal(
             build_problem_diagonal(problem), sched, path, initial, shots=shots, seed=seed,
@@ -248,8 +246,8 @@ def assisted_reverse_anneal(
     backend,
     sched: Schedule,
     s_prime: float,
-    forward_shots: int = 1000,
-    max_cycles: int = 50,
+    forward_shots: int,
+    max_cycles: int,
     seed=0,
     total_time: float = dynamics.DEFAULT_TOTAL_TIME,
     forward_time_scale=None,

@@ -166,11 +166,6 @@ class AnnealPath:
         if initial is not None and not set(initial) <= {"0", "1"}:
             raise ValueError(f"initial must be a string of 0s and 1s, got {initial!r}")
 
-    def reversed(self) -> "AnnealPath":
-        """Time-mirrored path covering the same s values backwards."""
-        t = self.times
-        return AnnealPath(t[-1] - t[::-1], self.svals[::-1])
-
 
 def make_forward_path(total_time: float) -> AnnealPath:
     if total_time <= 0:

@@ -1,0 +1,118 @@
+"""Independent reference implementations the tests hold annealab against.
+
+No program path calls any of these: exhaustive enumeration of bitstrings,
+QUBO minima and proper colorings, the dense matrix of H(s) and its energy
+expectation, small named graphs, the time-mirrored anneal path, and the
+per-qubit driver loop with the byte-level helpers that compare against it.
+"""
+
+import itertools
+
+import numpy as np
+
+from annealab.coloring_qubo import QuboProblem, index_to_bits
+from annealab.dynamics import QuantumState
+from annealab.graphs import Graph
+from annealab.schedules import AnnealPath, Schedule
+from annealab.spectrum import ProblemDiagonal, apply_hamiltonian
+
+
+def all_bitstrings(n: int) -> np.ndarray:
+    """(2^n, n) array of 0/1 rows; row r holds the little-endian bits of r."""
+    if n > 24:
+        raise ValueError(f"refusing to enumerate 2^{n} bitstrings")
+    r = np.arange(1 << n, dtype=np.uint32)
+    return ((r[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+
+
+def brute_force_solve(q: QuboProblem) -> tuple[float, tuple[str, ...]]:
+    """Exhaustive minimum and every argmin bitstring. Guarded at 24 variables."""
+    if q.n_vars > 24:
+        raise ValueError(f"brute force limited to 24 variables, got {q.n_vars}")
+    best = np.inf
+    argmins: list[int] = []
+    total = 1 << q.n_vars
+    bit_cols = np.arange(q.n_vars, dtype=np.uint32)
+    chunk = 1 << 16  # basis states per energies() call
+    for start in range(0, total, chunk):
+        r = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        x = ((r[:, None] >> bit_cols) & 1).astype(np.float64)
+        e = q.energies(x)
+        lo = float(e.min())
+        if lo < best - 1e-12:
+            best = lo
+            argmins = []
+        argmins.extend(int(i) for i in r[e <= best + 1e-12])
+    return best, tuple(index_to_bits(i, q.n_vars) for i in sorted(argmins))
+
+
+def proper_onehot_encodings(g: Graph, k: int) -> set:
+    """Enumerate proper colorings, one-hot encode them."""
+    out = set()
+    for coloring in itertools.product(range(k), repeat=g.n_vertices):
+        if any(coloring[u] == coloring[v] for u, v in g.edges):
+            continue
+        bits = ["0"] * (g.n_vertices * k)
+        for v, c in enumerate(coloring):
+            bits[v * k + c] = "1"
+        out.add("".join(bits))
+    return out
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def reversed_path(path: AnnealPath) -> AnnealPath:
+    """Time-mirrored path covering the same s values backwards."""
+    t = path.times
+    return AnnealPath(t[-1] - t[::-1], path.svals[::-1])
+
+
+def dense_hamiltonian(s, sched, diag):
+    """The full 2^n x 2^n matrix of H(s), built entry by entry: the independent
+    oracle for the matrix-free operator and the sector-split eigensolver."""
+    dim = 1 << diag.n_qubits
+    idx = np.arange(dim)
+    h = np.zeros((dim, dim))
+    h[idx, idx] = float(sched.a(s)) * diag.values
+    b = float(sched.b(s))
+    for j in range(diag.n_qubits):
+        h[idx, idx ^ (1 << j)] += b
+    return h
+
+
+def energy_expectation(s: float, sched: Schedule, diag: ProblemDiagonal, state: QuantumState) -> float:
+    return float(np.real(np.vdot(state.amplitudes, apply_hamiltonian(s, sched, diag, state.amplitudes))))
+
+
+def _driver_apply_loop(state: np.ndarray) -> np.ndarray:
+    """The loop driver_apply replaced, copied verbatim."""
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    out = np.zeros_like(state)
+    for j in range(n):
+        v = state.reshape(-1, 2, 1 << j)
+        out += v[:, ::-1, :].reshape(dim)
+    return out
+
+
+# signed zeros, subnormals and normals; driver_apply's sums must keep their bits
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -3.5)
+
+
+def _state(re, im=None):
+    if im is None:
+        return np.asarray(re, dtype=np.float64)
+    state = np.empty(len(re), dtype=np.complex128)
+    state.real, state.imag = re, im  # set parts directly: keeps each zero's sign
+    return state
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()

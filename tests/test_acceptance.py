@@ -6,7 +6,6 @@ appends to the terminal summary. Expected values come from independent
 enumeration oracles or from frozen calibration runs; tolerances are inline.
 """
 
-import itertools
 import json
 import sys
 import time
@@ -14,18 +13,11 @@ import time
 import numpy as np
 
 from annealab.cli import cli_entry
-from annealab.coloring_qubo import (
-    all_bitstrings,
-    build_coloring_qubo,
-    index_to_bits,
-    qubo_to_ising,
-    validate,
-)
+from annealab.coloring_qubo import build_coloring_qubo, index_to_bits, qubo_to_ising, validate
 from annealab.dynamics import (
     QuantumState,
     anneal,
     driver_ground,
-    energy_expectation,
     evolve,
     sample,
 )
@@ -45,6 +37,7 @@ from annealab.schedules import (
     reverse_distance_grid,
 )
 from annealab.spectrum import build_problem_diagonal, lowest_eigenvalues, min_gap, spectrum_sweep
+from oracles import all_bitstrings, energy_expectation, proper_onehot_encodings, reversed_path
 
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -59,19 +52,6 @@ def report(n: int, ok: bool, detail: str):
     if not sys.stdout.closed and sys.stdout is sys.__stdout__:
         print(line, flush=True)
     assert ok, f"criterion {n}: {detail}"
-
-
-def proper_onehot_encodings(g: Graph, k: int) -> set:
-    """Independent oracle: enumerate proper colorings, one-hot encode them."""
-    out = set()
-    for coloring in itertools.product(range(k), repeat=g.n_vertices):
-        if any(coloring[u] == coloring[v] for u, v in g.edges):
-            continue
-        bits = ["0"] * (g.n_vertices * k)
-        for v, c in enumerate(coloring):
-            bits[v * k + c] = "1"
-        out.add("".join(bits))
-    return out
 
 
 def small_instances(count: int, max_vars: int = 12):
@@ -177,7 +157,7 @@ def test_criterion_05_dynamics_invariants():
     path6 = make_forward_path(60.0)
     start = driver_ground(6)
     mid = evolve(start, path6, resolve_schedule("linear"), diag6)
-    back = evolve(QuantumState(6, np.conj(mid.amplitudes)), path6.reversed(),
+    back = evolve(QuantumState(6, np.conj(mid.amplitudes)), reversed_path(path6),
                   resolve_schedule("linear"), diag6)
     reversal_err = float(np.max(np.abs(np.conj(back.amplitudes) - start.amplitudes)))
     reversal_ok = reversal_err <= 1e-5
@@ -280,7 +260,7 @@ def test_criterion_10_svmc_substitutes_at_scale(tmp_path):
 
     q = build_coloring_qubo(P5, 2)
     backend = SvmcBackend(sweeps_per_waypoint=500, beta=10.0)
-    shots = backend.forward(q, resolve_schedule("linear"), shots=100, seed=11)
+    shots = backend.forward(q, resolve_schedule("linear"), total_time=100.0, shots=100, seed=11)
     n_valid = sum(s.valid for s in shots)
     report(10, schema_ok and n_vars_ok and len(rows) == 2 and n_valid >= 50,
            f"{big_recs[0]['n_vars']}-variable sweep matches small-run record schema; "

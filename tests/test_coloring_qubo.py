@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,17 +10,22 @@ from annealab.coloring_qubo import (
     OneHotViolation,
     QuboProblem,
     Sample,
-    all_bitstrings,
     bits_to_array,
     bits_to_index,
-    brute_force_solve,
     build_coloring_qubo,
     decode,
     index_to_bits,
     qubo_to_ising,
     validate,
 )
-from annealab.graphs import Graph, complete_graph, cycle_graph, generate_er, path_graph
+from annealab.graphs import Graph, generate_er, path_graph
+from oracles import (
+    all_bitstrings,
+    brute_force_solve,
+    complete_graph,
+    cycle_graph,
+    proper_onehot_encodings,
+)
 
 
 def penalty_form_energy(g, k, penalty, bits):
@@ -32,15 +36,6 @@ def penalty_form_energy(g, k, penalty, bits):
         for c in range(k):
             e += penalty * x[u, c] * x[v, c]
     return e
-
-
-def proper_colorings_as_indices(g, k):
-    # combinatorial enumeration of proper colorings mapped to one-hot indices
-    out = set()
-    for assign in itertools.product(range(k), repeat=g.n_vertices):
-        if all(assign[u] != assign[v] for u, v in g.edges):
-            out.add(sum(1 << (v * k + assign[v]) for v in range(g.n_vertices)))
-    return out
 
 
 def test_bits_helpers_roundtrip():
@@ -127,7 +122,7 @@ def test_validate_equals_energy_zero_equals_combinatorial():
     energies = q.energies(bits)
     valid_set = {i for i in range(1 << q.n_vars) if validate(q, bits[i])}
     zero_set = {i for i in range(1 << q.n_vars) if abs(energies[i]) < 1e-12}
-    assert valid_set == zero_set == proper_colorings_as_indices(g, k)
+    assert valid_set == zero_set == {bits_to_index(b) for b in proper_onehot_encodings(g, k)}
 
 
 # random ER instances: vertex count, edge probability, seed, colors, penalty

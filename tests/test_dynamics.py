@@ -20,15 +20,22 @@ from annealab.dynamics import (
     anneal,
     basis_state,
     driver_ground,
-    energy_expectation,
     evolve,
     sample,
 )
 from annealab.experiments import ExperimentConfig, instance
-from annealab.graphs import Graph, complete_graph, path_graph
+from annealab.graphs import Graph, path_graph
 from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
 from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
-from test_spectrum import SPECIAL_ENTRIES, _driver_apply_loop, _state, assert_same_bytes
+from oracles import (
+    SPECIAL_ENTRIES,
+    _driver_apply_loop,
+    _state,
+    assert_same_bytes,
+    complete_graph,
+    energy_expectation,
+    reversed_path,
+)
 
 
 def p5_diag(k=2):
@@ -136,7 +143,7 @@ def test_reversed_path_undoes_evolution_up_to_conjugation():
     path = make_forward_path(20.0)
     psi0 = driver_ground(6)
     psi1 = evolve(psi0, path, sched, diag)
-    back = evolve(QuantumState(6, np.conj(psi1.amplitudes)), path.reversed(), sched, diag)
+    back = evolve(QuantumState(6, np.conj(psi1.amplitudes)), reversed_path(path), sched, diag)
     assert np.max(np.abs(np.conj(back.amplitudes) - psi0.amplitudes)) < 1e-6
 
 

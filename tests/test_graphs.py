@@ -4,13 +4,12 @@ import pytest
 
 from annealab.graphs import (
     Graph,
-    complete_graph,
-    cycle_graph,
     generate_er,
     greedy_color_largest_first,
     is_proper_coloring,
     path_graph,
 )
+from oracles import complete_graph, cycle_graph
 
 
 def test_edges_canonicalized():

@@ -7,16 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annealab.coloring_qubo import (
-    Sample,
-    all_bitstrings,
-    build_coloring_qubo,
-    index_to_bits,
-    validate,
-)
+from annealab.coloring_qubo import Sample, build_coloring_qubo, index_to_bits, validate
 from annealab import dynamics
 from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
-from annealab.graphs import complete_graph, path_graph
+from annealab.graphs import path_graph
 from annealab.heuristic import (
     FEED_LAST,
     KEEP_BEST,
@@ -33,6 +27,7 @@ from annealab.heuristic import (
     select_initial,
 )
 from annealab.schedules import make_reverse_path, resolve_schedule
+from oracles import all_bitstrings, complete_graph
 
 
 P5 = build_coloring_qubo(path_graph(5), 2)
@@ -172,7 +167,8 @@ def test_zero_cycle_budget_reports_exhausted_with_seed():
 def test_statevector_cap_is_enforced():
     big = build_coloring_qubo(path_graph(5), 5)  # 25 vars
     with pytest.raises(ValueError, match="capped at 20 qubits"):
-        StatevectorBackend().forward(big, resolve_schedule("linear"), shots=1)
+        StatevectorBackend().forward(big, resolve_schedule("linear"), total_time=100.0, shots=1,
+                                     seed=0)
 
 
 def test_oversize_problem_falls_back_to_rotor_backend():
@@ -188,8 +184,8 @@ def test_oversize_problem_falls_back_to_rotor_backend():
 def test_statevector_time_scale_none_means_the_defaults():
     q = build_coloring_qubo(path_graph(2), 2)
     backend, sched = StatevectorBackend(), resolve_schedule("steep")
-    assert backend.forward(q, sched, shots=20, seed=3, time_scale=None) == \
-        backend.forward(q, sched, shots=20, seed=3, time_scale=SLOW_TIME_SCALE)
+    assert backend.forward(q, sched, total_time=100.0, shots=20, seed=3, time_scale=None) == \
+        backend.forward(q, sched, total_time=100.0, shots=20, seed=3, time_scale=SLOW_TIME_SCALE)
     path = make_reverse_path(0.5, 100.0)
     assert backend.reverse(q, sched, path, "0110", shots=20, seed=4, time_scale=None) == \
         backend.reverse(q, sched, path, "0110", shots=20, seed=4,
@@ -213,7 +209,8 @@ def test_one_backend_reused_across_problems_samples_as_fresh_ones(make):
 
     def calls(backend, q, seed):
         initial = index_to_bits(5, q.n_vars)
-        return (backend.forward(q, sched, shots=5, seed=[seed, 0], time_scale=0.05),
+        return (backend.forward(q, sched, total_time=100.0, shots=5, seed=[seed, 0],
+                                time_scale=0.05),
                 backend.reverse(q, sched, path, initial, shots=3, seed=[seed, 2, 1]))
 
     shared = make()
@@ -224,7 +221,7 @@ def test_one_backend_reused_across_problems_samples_as_fresh_ones(make):
 
 def test_backend_validity_flags_match_oracle():
     out = SvmcBackend(sweeps_per_waypoint=50).forward(
-        P5, resolve_schedule("linear"), shots=10, seed=3
+        P5, resolve_schedule("linear"), total_time=100.0, shots=10, seed=3
     )
     for s in out:
         assert s.valid == validate(P5, s.bits)
@@ -301,7 +298,8 @@ def _guard_run_chain(backend=SvmcBackend(5), initial="0" * P5.n_vars, **kw):
 
 
 def _guard_assisted(**kw):
-    return assisted_reverse_anneal(P5, SvmcBackend(5), resolve_schedule("steep"), 0.44, **kw)
+    args = dict(forward_shots=1000, max_cycles=50) | kw
+    return assisted_reverse_anneal(P5, SvmcBackend(5), resolve_schedule("steep"), 0.44, **args)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -311,19 +309,21 @@ def _guard_assisted(**kw):
     (lambda: _guard_run_chain(seed=1.5), "seed must be an int or sequence of ints"),
     (lambda: _guard_assisted(forward_shots=0), "need forward_shots >= 1, got 0"),
     (lambda: _guard_assisted(max_cycles=-1), "need max_cycles >= 0, got -1"),
-    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), shots=1, time_scale=0.0),
+    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), total_time=100.0, shots=1,
+                                    seed=0, time_scale=0.0),
      "time_scale must be positive and finite, got 0.0"),
     (lambda: SvmcBackend(5).reverse(P5, resolve_schedule("steep"), make_reverse_path(0.44, 1.0),
-                                    "0" * P5.n_vars, time_scale=float("nan")),
+                                    "0" * P5.n_vars, shots=1, seed=0, time_scale=float("nan")),
      "time_scale must be positive and finite, got nan"),
     (lambda: _guard_run_chain(initial="2020" + "0" * 6),
      "initial must be a string of 0s and 1s, got '2020000000'"),
     (lambda: _guard_run_chain(backend=StatevectorBackend(), initial="2020" + "0" * 6),
      "initial must be a string of 0s and 1s, got '2020000000'"),
-    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), shots=0),
+    (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), total_time=100.0, shots=0,
+                                    seed=0),
      "need shots >= 1, got 0"),
     (lambda: SvmcBackend(5).reverse(P5, resolve_schedule("steep"), make_reverse_path(0.44, 1.0),
-                                    "0" * P5.n_vars, shots=-1),
+                                    "0" * P5.n_vars, shots=-1, seed=0),
      "need shots >= 1, got -1"),
 ], ids=["policy", "shots-per-cycle", "negative-seed", "float-seed", "forward-shots",
         "max-cycles", "svmc-time-scale", "svmc-time-scale-nan", "start-bits-svmc",
@@ -341,7 +341,7 @@ def test_statevector_backend_refuses_shots_before_evolving(monkeypatch, shots):
     monkeypatch.setattr(dynamics, "evolve", unreachable)
     sched = resolve_schedule("steep")
     with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
-        StatevectorBackend().forward(P5, sched, shots=shots)
+        StatevectorBackend().forward(P5, sched, total_time=100.0, shots=shots, seed=0)
     with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
         StatevectorBackend().reverse(P5, sched, make_reverse_path(0.44, 1.0), "0" * P5.n_vars,
-                                     shots=shots)
+                                     shots=shots, seed=0)

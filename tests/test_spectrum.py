@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from annealab.coloring_qubo import all_bitstrings, build_coloring_qubo, brute_force_solve
-from annealab.graphs import Graph, complete_graph, generate_er, path_graph
+from annealab.coloring_qubo import build_coloring_qubo
+from annealab.graphs import Graph, generate_er, path_graph
 from annealab import spectrum
 from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
@@ -25,21 +25,18 @@ from annealab.spectrum import (
     min_gap,
     spectrum_sweep,
 )
+from oracles import (
+    SPECIAL_ENTRIES,
+    _driver_apply_loop,
+    _state,
+    all_bitstrings,
+    assert_same_bytes,
+    brute_force_solve,
+    complete_graph,
+    dense_hamiltonian,
+)
 
 LIN = resolve_schedule("linear")
-
-
-def dense_hamiltonian(s, sched, diag):
-    """The full 2^n x 2^n matrix of H(s), built entry by entry: the independent
-    oracle for the matrix-free operator and the sector-split eigensolver."""
-    dim = 1 << diag.n_qubits
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim))
-    h[idx, idx] = float(sched.a(s)) * diag.values
-    b = float(sched.b(s))
-    for j in range(diag.n_qubits):
-        h[idx, idx ^ (1 << j)] += b
-    return h
 
 
 def test_diagonal_matches_energy_enumeration():
@@ -82,34 +79,8 @@ def test_driver_apply_on_basis_state():
     assert np.array_equal(out, expect)
 
 
-def _driver_apply_loop(state: np.ndarray) -> np.ndarray:
-    """The loop driver_apply replaced, copied verbatim."""
-    dim = state.shape[0]
-    n = dim.bit_length() - 1
-    out = np.zeros_like(state)
-    for j in range(n):
-        v = state.reshape(-1, 2, 1 << j)
-        out += v[:, ::-1, :].reshape(dim)
-    return out
-
-
-# signed zeros, subnormals and normals; driver_apply's sums must keep their bits
-SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -3.5)
 ENTRIES = st.one_of(st.sampled_from(SPECIAL_ENTRIES),
                     st.floats(-1e3, 1e3, allow_subnormal=True))
-
-
-def _state(re, im=None):
-    if im is None:
-        return np.asarray(re, dtype=np.float64)
-    state = np.empty(len(re), dtype=np.complex128)
-    state.real, state.imag = re, im  # set parts directly: keeps each zero's sign
-    return state
-
-
-def assert_same_bytes(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from annealab.coloring_qubo import (
     IsingProblem,
     Sample,
-    brute_force_solve,
     build_coloring_qubo,
     qubo_to_ising,
 )
@@ -21,6 +20,7 @@ from annealab.graphs import path_graph
 from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
 from annealab.spectrum import build_problem_diagonal
 from annealab.svmc import _SWEEP_BLOCK, DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT, svmc_run
+from oracles import brute_force_solve
 
 
 def p5_ising():
