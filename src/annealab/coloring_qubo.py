@@ -33,13 +33,12 @@ def index_to_bits(idx: int, n: int) -> str:
 
 
 def bits_to_index(bits) -> int:
-    return sum(1 << i for i, b in enumerate(bits) if int(b))
+    return sum(1 << i for i, b in enumerate(bits_to_array(bits)) if b)
 
 
 def bits_to_array(bits) -> np.ndarray:
-    """The uint8 array of a string of 0s and 1s or a sequence of 0/1 values:
-    the one bitstring conversion of energy and decode; any other character or
-    value is refused."""
+    """The uint8 array of a string of 0s and 1s or an array of 0/1 values:
+    the one bitstring reader; any other character or value is refused."""
     # a character's byte minus that of "0" is 0 or 1 only for the two digits
     x = (np.frombuffer(bits.encode(), np.uint8) - ord("0") if isinstance(bits, str)
          else np.asarray(bits))
@@ -98,15 +97,16 @@ class QuboProblem:
 
     def energies(self, batch: np.ndarray) -> np.ndarray:
         """Energies of a (m, n_vars) batch of 0/1 rows."""
-        x = np.asarray(batch, dtype=np.float64)
-        linear = np.zeros(self.n_vars)
+        x = bits_to_array(batch)
+        return self.energy_sum(lambda i: x[:, i])
+
+    def energy_sum(self, bit) -> np.ndarray:
+        """offset + v * x_i * x_j for each (i, j, v) of q in order, in float64,
+        where bit(i) is the integer 0/1 array of variable i over the states
+        summed: the one QUBO summation of energies and the problem diagonal."""
+        e = np.full(bit(0).shape, float(self.offset))
         for i, j, v in self.q:
-            if i == j:
-                linear[i] = v
-        e = self.offset + x @ linear
-        for i, j, v in self.q:
-            if i != j:
-                e = e + v * x[:, i] * x[:, j]
+            e += v * (bit(i) if i == j else bit(i) & bit(j))
         return e
 
     def to_json(self) -> str:

@@ -1,20 +1,22 @@
 """Batch protocols: reverse-distance sweep, size scaling, random baseline.
 
 Every run is a pure function of its config. Randomness derives from the
-master seed through fixed stage tags; `anneal` runs one given problem
-through the same runner with its own tags:
+master seed through fixed stage tags. `batch_seed` builds every batch seed
+by one rule, [master, stage, *problem key, *chain key]: the problem key is
+(i,), or (n, i) for problem i of size n in a scaling run, and the chain key
+is (j,) for grid index j, or () for scaling's single s'. `anneal` runs one
+given problem through the same runner with its own tags:
 
-                                batch protocols       anneal
-    graph of problem i          [master, 0, i]        (given)
-    forward stage of problem i  [master, 1, i]        [master, 0]
-    initial selection           [master, 2, i]        [master, 1]
-    RA chain at grid index j    [master, 3, i, j]     [master]
-    cycle c of a chain          [*chain, 2, c]        [master, 2, c]
-    random baseline initial     [master, 4, i]
-    (scaling: graph [master, 0, n, i], chain [master, 3, n, i])
+                                batch protocols                anneal
+    graph of problem i          [master, 0, *problem]          (given)
+    forward stage of problem i  [master, 1, *problem]          [master, 0]
+    initial selection           [master, 2, *problem]          [master, 1]
+    RA chain                    [master, 3, *problem, *chain]  [master]
+    cycle c of a chain          [*chain seed, 2, c]            [master, 2, c]
+    random baseline initial     [master, 4, *problem]
 
 Every protocol is a plan per problem: one forward stage, then a list of
-collect-mode chains (series, s', chain seed). One driver runs the plans and
+collect-mode chains (series, chain key, s'). One driver runs the plans and
 writes the records; each protocol only aggregates them into its CSV. The
 baseline arms share the chain seeds, so assisted vs random comparisons
 differ only in the starting bitstring. Raw records are JSONL; aggregates
@@ -196,11 +198,19 @@ def coloring_problem(g: Graph, k: int | None) -> QuboProblem:
     return build_coloring_qubo(g, greedy_color_largest_first(g)[0] if k is None else k)
 
 
+def batch_seed(config: ExperimentConfig, stage: int, i: int, size: int | None,
+               chain: tuple[int, ...]) -> list[int]:
+    """[master, stage, *problem key, *chain key], the one rule of every batch
+    seed: the problem key is (i,), or (size, i) when size is not None."""
+    return [config.seed, stage, *((i,) if size is None else (size, i)), *chain]
+
+
 def instance(config: ExperimentConfig, i: int, size: int | None = None) -> QuboProblem:
-    """Problem i of the configured set (deterministic in config.seed)."""
+    """Problem i of the configured set, with `size` vertices if not None
+    (deterministic in config.seed)."""
     n = config.n_vertices if size is None else size
-    tag = [config.seed, 0, i] if size is None else [config.seed, 0, size, i]
-    return coloring_problem(generate_er(n, config.p, tag), config.k)
+    return coloring_problem(generate_er(n, config.p, batch_seed(config, 0, i, size, ())),
+                            config.k)
 
 
 def _workers() -> int:
@@ -232,17 +242,18 @@ class ChainResult(typing.NamedTuple):
 def _run_problem(config: ExperimentConfig, backend, sched: Schedule, chash: str,
                  job: tuple[int, int | None, list[tuple]]):
     """Run problem i (with `size` vertices if not None) and the collect-mode
-    chain of every (series, s', chain seed, random seed) entry of its plan;
-    a chain with a random seed starts from random bits drawn with it."""
+    chain of every (series, chain key, s') entry of its plan; a chain of the
+    random_bitstring series starts from random bits."""
     i, size, plan = job
     problem = instance(config, i, size=size)
+    seed = partial(batch_seed, config, i=i, size=size)
     fwd, records = run_problem(
         problem, backend, sched,
-        [(s_prime, chain_seed,
-          None if random_seed is None else random_bits(problem.n_vars, random_seed),
-          {"master": config.seed, "chain": list(chain_seed)})
-         for _, s_prime, chain_seed, random_seed in plan],
-        forward_seed=[config.seed, 1, i], select_seed=[config.seed, 2, i],
+        [(s_prime, seed(3, chain=key),
+          random_bits(problem.n_vars, seed(4, chain=())) if series == SERIES[1] else None,
+          {"master": config.seed, "chain": seed(3, chain=key)})
+         for series, key, s_prime in plan],
+        forward_seed=seed(1, chain=()), select_seed=seed(2, chain=()),
         forward_shots=config.forward_shots, total_time=config.total_time,
         forward_time_scale=config.forward_time_scale, n_cycles=config.ra_samples,
         ra_time_scale=config.ra_time_scale, shots_per_cycle=config.shots_per_cycle,
@@ -301,8 +312,8 @@ def sweep_reverse_distance(config: ExperimentConfig, out_dir=None) -> list[dict]
     Writes sweep_summary.csv, sweep_records.jsonl and manifest.json to the
     output directory and returns the summary rows.
     """
-    jobs = [(i, None, [(None, s, (config.seed, 3, i, j), None)
-                       for j, s in enumerate(config.s_grid)]) for i in range(config.count)]
+    jobs = [(i, None, [(None, (j,), s) for j, s in enumerate(config.s_grid)])
+            for i in range(config.count)]
     return _run_protocol(config, "sweep", jobs, "sweep_summary.csv", _sweep_rows, out_dir)
 
 
@@ -325,7 +336,7 @@ def scaling_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     omitted rather than zero-filled."""
     if not config.sizes:
         raise ConfigError("scaling run needs a non-empty sizes list")
-    jobs = [(i, n, [(None, SCALING_REVERSE_DISTANCE, (config.seed, 3, n, i), None)])
+    jobs = [(i, n, [(None, (), SCALING_REVERSE_DISTANCE)])
             for n in config.sizes for i in range(config.count)]
     return _run_protocol(config, "scaling", jobs, "scaling.csv", _scaling_rows, out_dir)
 
@@ -345,9 +356,7 @@ def baseline_run(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Paired comparison: chains seeded by the selected forward bitstring vs
     a random bitstring, sharing per-chain seed streams. Emits per-s' averages
     for both series."""
-    jobs = [(i, None, [(series, s, (config.seed, 3, i, j), random_seed)
-                       for j, s in enumerate(config.s_grid)
-                       for series, random_seed in zip(SERIES, (None, [config.seed, 4, i]))])
+    jobs = [(i, None, [(series, (j,), s) for j, s in enumerate(config.s_grid) for series in SERIES])
             for i in range(config.count)]
     return _run_protocol(config, "baseline", jobs, "baseline.csv",
                          partial(_baseline_rows, config.s_grid), out_dir)

@@ -76,23 +76,20 @@ class Schedule:
             raise ScheduleError(f"non-numeric schedule entry: {err}") from err
         return cls(name, cols[:, 0], cols[:, 1], cols[:, 2])
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "Schedule":
-        return cls.from_csv_text(Path(path).read_text(), name=Path(path).stem)
-
 
 def resolve_schedule(spec: str) -> Schedule:
-    """A bundled schedule or a CSV file path. The bundled tables have 201
-    rows on equal steps of s: 'linear' is a(s) = s, b(s) = 1 - s; 'steep' is
-    a(s) = s, b(s) = (1 - s)^4, whose driver is below 0.4% of its initial
-    strength at s = 0.75, pushing the small-gap region toward mid-anneal."""
+    """The one schedule loader: a bundled schedule, or the CSV file at path
+    `spec`, named by its stem. The bundled tables have 201 rows on equal
+    steps of s: 'linear' is a(s) = s, b(s) = 1 - s; 'steep' is a(s) = s,
+    b(s) = (1 - s)^4, whose driver is below 0.4% of its initial strength at
+    s = 0.75, pushing the small-gap region toward mid-anneal."""
     if spec in ("linear", "steep"):
         text = resources.files("annealab.data").joinpath(f"{spec}.csv").read_text()
         return Schedule.from_csv_text(text, name=spec)
     p = Path(spec)
     if not p.exists():
         raise ScheduleError(f"schedule file not found: {spec}")
-    return Schedule.from_csv(p)
+    return Schedule.from_csv_text(p.read_text(), name=p.stem)
 
 
 def reverse_distance_grid() -> list[float]:

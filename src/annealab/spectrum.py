@@ -89,13 +89,7 @@ def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
     if q.n_vars > QUBIT_CAP:
         raise ValueError(f"diagonal construction capped at {QUBIT_CAP} qubits, got {q.n_vars}")
     r = np.arange(1 << q.n_vars, dtype=np.uint32)
-    vals = np.full(r.shape, float(q.offset))
-    for i, j, v in q.q:
-        if i == j:
-            vals += v * ((r >> i) & 1)
-        else:
-            vals += v * (((r >> i) & 1) & ((r >> j) & 1))
-    return ProblemDiagonal(q.n_vars, vals)
+    return ProblemDiagonal(q.n_vars, q.energy_sum(lambda i: (r >> i) & 1))
 
 
 @cache

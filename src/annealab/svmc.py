@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .coloring_qubo import IsingProblem, Sample
+from .coloring_qubo import IsingProblem, Sample, bits_to_array
 from .schedules import AnnealPath, Schedule
 
 DEFAULT_BETA = 10.0
@@ -56,10 +56,7 @@ def svmc_run(
         raise ValueError(f"need beta > 0, got {beta}")
     n = ising.n_spins
     path.check_start(initial, n)
-    if initial is None:
-        theta = np.full(n, math.pi / 2.0)
-    else:
-        theta = np.array([0.0 if ch == "0" else math.pi for ch in initial])
+    theta = np.full(n, math.pi / 2.0) if initial is None else math.pi * bits_to_array(initial)
     rng = np.random.default_rng(seed)
 
     # the sweeps run on Python floats: the same IEEE operations as numpy's

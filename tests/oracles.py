@@ -1,9 +1,10 @@
 """Independent reference implementations the tests hold annealab against.
 
 No program path calls any of these: exhaustive enumeration of bitstrings,
-QUBO minima and proper colorings, the dense matrix of H(s) and its energy
-expectation, small named graphs, the time-mirrored anneal path, and the
-per-qubit driver loop with the byte-level helpers that compare against it.
+QUBO minima and proper colorings, the coloring cost in its defining penalty
+form, the dense matrix of H(s) and its energy expectation, small named
+graphs, the time-mirrored anneal path, and the per-qubit driver loop with
+the byte-level helpers that compare against it.
 """
 
 import itertools
@@ -44,6 +45,16 @@ def brute_force_solve(q: QuboProblem) -> tuple[float, tuple[str, ...]]:
             argmins = []
         argmins.extend(int(i) for i in r[e <= best + 1e-12])
     return best, tuple(index_to_bits(i, q.n_vars) for i in sorted(argmins))
+
+
+def penalty_form_energy(g, k, penalty, bits):
+    # direct evaluation of the defining cost, independent of the expansion
+    x = np.asarray(bits, dtype=float).reshape(g.n_vertices, k)
+    e = penalty * sum((1.0 - x[v].sum()) ** 2 for v in range(g.n_vertices))
+    for u, v in g.edges:
+        for c in range(k):
+            e += penalty * x[u, c] * x[v, c]
+    return e
 
 
 def proper_onehot_encodings(g: Graph, k: int) -> set:

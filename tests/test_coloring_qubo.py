@@ -24,18 +24,9 @@ from oracles import (
     brute_force_solve,
     complete_graph,
     cycle_graph,
+    penalty_form_energy,
     proper_onehot_encodings,
 )
-
-
-def penalty_form_energy(g, k, penalty, bits):
-    # direct evaluation of the defining cost, independent of the expansion
-    x = np.asarray(bits, dtype=float).reshape(g.n_vertices, k)
-    e = penalty * sum((1.0 - x[v].sum()) ** 2 for v in range(g.n_vertices))
-    for u, v in g.edges:
-        for c in range(k):
-            e += penalty * x[u, c] * x[v, c]
-    return e
 
 
 def test_bits_helpers_roundtrip():
@@ -53,6 +44,17 @@ def test_energy_matches_penalty_form():
         for _ in range(50):
             bits = rng.integers(0, 2, size=q.n_vars)
             assert q.energy(bits) == pytest.approx(penalty_form_energy(g, k, 1.7, bits))
+
+
+def test_energy_past_63_variables_matches_penalty_form():
+    # 75 variables: more bits than a machine-integer basis index holds
+    g = generate_er(25, 0.3, 4)
+    q = build_coloring_qubo(g, 3)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        bits = rng.integers(0, 2, size=q.n_vars)
+        assert q.energy(bits) == penalty_form_energy(g, 3, 1.0, bits)
+        assert q.energy("".join(map(str, bits))) == penalty_form_energy(g, 3, 1.0, bits)
 
 
 def test_offset_and_all_zeros():
@@ -230,9 +232,12 @@ def test_guards():
     (lambda: validate(replace(build_coloring_qubo(path_graph(2), 2), source=None), "01a0"),
      "bits must be 0s and 1s, got '01a0'"),
     (lambda: bits_to_array("0 10"), "bits must be 0s and 1s, got '0 10'"),
+    (lambda: bits_to_index("2020"), "bits must be 0s and 1s, got '2020'"),
+    (lambda: bits_to_index([0.5, 1]), r"bits must be 0s and 1s, got \[0.5, 1\]"),
 ], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map",
         "penalty-nan", "energy-digit-2", "energy-fraction", "decode-digit-2",
-        "validate-array-2", "validate-no-source-letter", "bits-space"])
+        "validate-array-2", "validate-no-source-letter", "bits-space", "index-digit-2",
+        "index-fraction"])
 def test_problems_refuse_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

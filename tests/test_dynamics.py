@@ -381,8 +381,9 @@ def _guard_evolve(**kw):
     (lambda: QuantumState(2, np.ones(3) / math.sqrt(3)), r"need 2\^2 amplitudes, got shape \(3,\)"),
     (lambda: _guard_evolve(accuracy=math.nan), "accuracy and time_scale must be positive and"),
     (lambda: _guard_evolve(time_scale=math.nan), "accuracy and time_scale must be positive and"),
+    (lambda: basis_state("2020"), "bits must be 0s and 1s, got '2020'"),
 ], ids=["sample-shots", "driver-ground", "state-length", "evolve-accuracy-nan",
-        "evolve-time-scale-nan"])
+        "evolve-time-scale-nan", "basis-state-digit-2"])
 def test_dynamics_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

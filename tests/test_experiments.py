@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealab import svmc
+from annealab import experiments, heuristic, svmc
 from annealab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -207,6 +207,40 @@ def test_scaling_groups_by_qubit_count_and_skips_empty(tmp_path):
     assert all(r["n_problems"] >= 1 for r in rows)
     assert (tmp_path / "scaling.csv").exists()
     assert (tmp_path / "scaling_records.jsonl").exists()
+
+
+def test_scaling_seeds_carry_the_size_at_every_stage(tmp_path, monkeypatch):
+    """Problem 0 of sizes 3 and 4 takes [master, stage, n, 0] at every stage,
+    so no stream is shared between sizes."""
+    seen = {"graph": [], "forward": [], "select": [], "chain": []}
+
+    class Recording:  # the configured backend, recording every call's seed
+        def __init__(self, inner):
+            self.inner, self.kind = inner, inner.kind
+
+        def forward(self, problem, sched, total_time, shots, seed, time_scale=None):
+            seen["forward"].append(list(seed))
+            return self.inner.forward(problem, sched, total_time, shots, seed, time_scale)
+
+        def reverse(self, problem, sched, path, initial, shots, seed, time_scale=None):
+            seen["chain"].append(list(seed[:-2]))  # cycle c of a chain is [*chain, 2, c]
+            return self.inner.reverse(problem, sched, path, initial, shots, seed, time_scale)
+
+    def spy(stage, fn):
+        def wrapper(*args):
+            seen[stage].append(list(args[-1]))  # the seed is the last argument
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.delenv("ANNEALAB_WORKERS", raising=False)
+    monkeypatch.setattr(experiments, "make_backend", lambda config: Recording(make_backend(config)))
+    monkeypatch.setattr(experiments, "generate_er", spy("graph", experiments.generate_er))
+    monkeypatch.setattr(heuristic, "select_initial", spy("select", heuristic.select_initial))
+    cfg = tiny_config(sizes=(3, 4), count=1, ra_samples=1)
+    scaling_run(cfg, tmp_path)
+    m = cfg.seed
+    assert seen == {"graph": [[m, 0, 3, 0], [m, 0, 4, 0]], "forward": [[m, 1, 3, 0], [m, 1, 4, 0]],
+                    "select": [[m, 2, 3, 0], [m, 2, 4, 0]], "chain": [[m, 3, 3, 0], [m, 3, 4, 0]]}
 
 
 def test_scaling_requires_sizes(tmp_path):

@@ -46,9 +46,9 @@ GOLDEN = {
     },
     "scaling": {
         "scaling.csv":
-            "b477e8d46fa10c446fcec6ea11f5f29375bf854ccbadca2ac8240d0f91a2f1bf",
+            "b69db3ae8cd432196a34598708464ec909711a5e47ffbbca17ec218ac72f8bdd",
         "scaling_records.jsonl":
-            "3fb4508201d0835ecda041e9c00b08eda01589d0de93e6c342917e910ee0b056",
+            "44bb50f1c7f932a6b8651c7d8fa8fc0e2fe63c80c25b0cde19b21059c7edade5",
     },
     "anneal": {
         "anneal_record.jsonl":

@@ -86,7 +86,7 @@ def test_csv_roundtrip(tmp_path):
     grid = np.linspace(0.0, 1.0, 51)
     f = tmp_path / "sched.csv"
     f.write_text(table_text(grid, (1.0 - grid) ** 4))
-    back = Schedule.from_csv(f)
+    back = resolve_schedule(str(f))
     assert back.name == "sched"
     assert back.s_grid.tobytes() == grid.tobytes()
     assert back.b_vals.tobytes() == ((1.0 - grid) ** 4).tobytes()

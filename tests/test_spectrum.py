@@ -34,17 +34,21 @@ from oracles import (
     brute_force_solve,
     complete_graph,
     dense_hamiltonian,
+    penalty_form_energy,
 )
 
 LIN = resolve_schedule("linear")
 
 
-def test_diagonal_matches_energy_enumeration():
-    g = generate_er(4, 0.5, 3)
-    q = build_coloring_qubo(g, 2, penalty=1.4)
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), p=st.floats(0.0, 1.0), seed=st.integers(0, 1000),
+       k=st.integers(1, 3), penalty=st.sampled_from((0.5, 1.0, 1.4, 1.7)))
+def test_diagonal_matches_energy_enumeration(n, p, seed, k, penalty):
+    g = generate_er(n, p, seed)
+    q = build_coloring_qubo(g, k, penalty=penalty)
     diag = build_problem_diagonal(q)
-    expected = q.energies(all_bitstrings(q.n_vars))
-    assert np.allclose(diag.values, expected, atol=1e-12)
+    expected = [penalty_form_energy(g, k, penalty, x) for x in all_bitstrings(q.n_vars)]
+    assert np.allclose(diag.values, expected, rtol=0.0, atol=1e-12)
 
 
 def test_diagonal_p5_zero_count_and_minimum():
