@@ -9,21 +9,25 @@ structure unchanged.
 
 Basis convention: variable i is bit i (little endian) of the basis index.
 
-Dense solves split H(s) into the two sectors of one basis permutation pi that
-swaps pairs of bits and leaves the problem diagonal unchanged (for a one-hot
-coloring diagonal: swapping colors 0 and 1 at every vertex). The driver
-commutes with every bit permutation, so pi commutes with H(s), and H(s) is
-block diagonal in the basis of even vectors (|f> for each fixed point f of
-pi, (|x> + |pi x>)/sqrt 2 for each pair x < pi x) and odd vectors
-((|x> - |pi x>)/sqrt 2). The union of the two blocks' spectra is the
-spectrum of H(s), multiplicities included; each block is about half the size,
-so a dense solve costs about a quarter as much.
+Dense solves split H(s) by an abelian group G of basis permutations that
+leave the problem diagonal unchanged, generated by r commuting involutions
+(ProblemDiagonal.symmetries): the swap of bits that swaps colors 0 and 1 at
+every vertex of a one-hot layout, and permutations of whole vertex blocks by
+vertex involutions that keep the diagonal. The driver commutes with every bit
+permutation, so G commutes with H(s), and H(s) is block diagonal in the 2^r
+sectors of G's +-1 characters chi. The sector vector of an orbit labelled by
+its smallest state L is proportional to sum_g chi(g) |g L>; it is zero, and
+the orbit drops out of that sector, when chi is -1 on an element fixing L.
+The union of the sectors' spectra is the spectrum of H(s), multiplicities
+included; each sector has about 2^-r of the rows, so the 2^r dense solves
+together cost about 4^-r as much as one of the full matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +70,18 @@ class ProblemDiagonal:
         return float(self.values.min()), float(self.values.max())
 
     @cached_property
-    def color_swap(self) -> np.ndarray:
-        """The basis permutation that swaps bits v*k and v*k + 1 for every
-        v < n_qubits / k, for the smallest stride k >= 2 dividing n_qubits
-        under which the diagonal is unchanged (the swap of colors 0 and 1 at
-        every vertex v of a one-hot layout of k colors); the identity if
-        there is no such k."""
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """Commuting involutions of the basis that leave the diagonal
+        unchanged, each as an index array g (state x goes to g[x]).
+
+        The first swaps bits v*k and v*k + 1 for every v < n_qubits / k, for
+        the smallest stride k >= 2 dividing n_qubits under which the diagonal
+        is unchanged (colors 0 and 1 at every vertex of a one-hot layout of
+        k colors); empty if there is no such k. The rest permute whole k-bit
+        blocks by an involution of the blocks, taken greedily in
+        lexicographic order when the diagonal is unchanged, the permutation
+        commutes with every one already taken and is not in their group.
+        The search tries (n_qubits / k)! block orders, 720 at 6 vertices."""
         n = self.n_qubits
         x = np.arange(1 << n)
         for k in range(2, n + 1):
@@ -80,8 +90,58 @@ class ProblemDiagonal:
             low = sum(1 << v for v in range(0, n, k))
             swapped = ((x >> 1) & low) | ((x & low) << 1) | (x & ~(low * 3))
             if np.array_equal(self.values[swapped], self.values):
-                return swapped
-        return x
+                break
+        else:
+            return ()
+        gens, group = [swapped], [x, swapped]
+        blocks = [(x >> (k * v)) & ((1 << k) - 1) for v in range(n // k)]
+        for order in permutations(range(len(blocks))):
+            if any(order[w] != v for v, w in enumerate(order)):
+                continue
+            g = sum(block << (k * w) for block, w in zip(blocks, order))
+            if (np.array_equal(self.values[g], self.values)
+                    and all(np.array_equal(g[h], h[g]) for h in gens)
+                    and not any(np.array_equal(g, e) for e in group)):
+                gens.append(g)
+                group += [e[g] for e in group]
+        return tuple(gens)
+
+    @cached_property
+    def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per nonempty sector of the group of symmetries (see the module
+        docstring): its orbit labels, and for each bit j the row of the
+        orbit that flipping bit j of each label lands on and the ratio
+        coef[y] / coef[label] of the sector vectors' coefficients there.
+
+        Element t of the group is the product of the generators whose bit is
+        set in t, and character c takes the value (-1)^popcount(c & t) on
+        it. Every element is an involution, so g maps the label L of z's
+        orbit to z exactly when g maps z to L."""
+        x = np.arange(self.values.size)
+        group = [x]
+        for g in self.symmetries:
+            group += [e[g] for e in group]
+        orbit = np.minimum.reduce(group)
+        t = np.arange(len(group))
+        chars = (-1.0) ** np.bitwise_count(t[:, None] & t)
+        flips = x ^ (1 << np.arange(self.n_qubits))[:, None]
+        sectors = []
+        # raw[z] = sum of chi(g) over g with g L = z; at a label it is the
+        # orbit's stabilizer size or 0, and the vector's squared norm is
+        # raw[L] * |G|
+        for raw in chars @ np.array([e == orbit for e in group], dtype=np.float64):
+            is_label = (orbit == x) & (raw > 0)
+            if not is_label.any():
+                continue
+            norm = raw[orbit] * len(group)
+            coef = np.divide(raw, np.sqrt(norm), out=np.zeros_like(raw), where=norm > 0)
+            # a state outside the sector has coefficient 0, so the row it
+            # names (any row in range) gains exactly 0.0
+            row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit]
+            labels = x[is_label]
+            landed = flips[:, labels]
+            sectors.append((labels, row[landed], coef[landed] / coef[labels]))
+        return tuple(sectors)
 
 
 def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
@@ -141,30 +201,16 @@ def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: n
 
 
 def _sector_hamiltonians(a: float, b: float, diag: ProblemDiagonal):
-    """H(s) in the even, then the odd sector of diag.color_swap (see the module
-    docstring), each built from the diagonal and the single-bit flips alone.
-
-    A sector vector is sum_z coef[z] |z> over one orbit {x, pi x}, labelled by
-    its smallest state x. Flipping bit j of the label x lands on y, and adds
-    b * coef[y] / coef[x] to the entry in the row of y's orbit."""
-    perm = diag.color_swap
-    x = np.arange(perm.size)
-    orbit = np.minimum(x, perm)
-    fixed = perm == x
-    r = np.sqrt(0.5)
-    # a fixed point has coefficient 0 in the odd sector, so the row it names
-    # (any row in range) gains exactly 0.0
-    for is_label, coef in ((x <= perm, np.where(fixed, 1.0, r)),
-                           (x < perm, np.where(fixed, 0.0, np.where(x < perm, r, -r)))):
-        labels = x[is_label]
-        row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit]
+    """H(s) in each sector of diag.symmetries (see the module docstring), as a
+    real symmetric matrix filled from the diagonal and diag.sectors' flips:
+    flipping bit j of the label L lands on y and adds b * coef[y] / coef[L]
+    to the entry in the row of y's orbit."""
+    for labels, rows, ratios in diag.sectors:
         cols = np.arange(labels.size)
         h = np.zeros((labels.size, labels.size), order="F")
         h[cols, cols] = a * diag.values[labels]
-        scale = b / coef[labels]
-        for j in range(diag.n_qubits):
-            flipped = labels ^ (1 << j)
-            h[row[flipped], cols] += scale * coef[flipped]
+        for row, ratio in zip(rows, ratios):
+            h[row, cols] += b * ratio
         yield h
 
 
@@ -183,13 +229,14 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
 
     Where a(s) or b(s) is 0, H(s) is diagonal (in the x basis if a is 0)
     and these are its m smallest entries. Otherwise, up to 12 qubits, dense
-    partial diagonalization of the even and the odd sector of
-    diag.color_swap, which commutes with H(s) (see the module docstring):
-    the m lowest of the two sectors' lowest levels together are exactly the
-    m lowest levels of H(s), degenerate copies included. Above 12 qubits, an
-    iterative extremal solver on the matrix-free operator with deterministic
-    seeded restarts, which can drop copies of a level that a symmetry of
-    H(s) makes degenerate.
+    partial diagonalization of H(s) in each sector of diag.symmetries, the
+    commuting involutions that leave the diagonal unchanged (see the module
+    docstring): the m lowest of all sectors' lowest levels together are
+    exactly the m lowest levels of H(s), degenerate copies included. The
+    symmetries are searched for only here, once per diagonal. Above 12
+    qubits, an iterative extremal solver on the matrix-free operator with
+    deterministic seeded restarts, which can drop copies of a level that a
+    symmetry of H(s) makes degenerate.
     """
     _check_request((s,), m, diag)
     dim = 1 << diag.n_qubits
@@ -201,7 +248,7 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
         levels = [scipy.linalg.eigh(h, eigvals_only=True, overwrite_a=True,
                                     subset_by_index=(0, min(m, len(h)) - 1))
-                  for h in _sector_hamiltonians(a, b, diag) if len(h)]
+                  for h in _sector_hamiltonians(a, b, diag)]
         return np.sort(np.concatenate(levels))[:m]
     op = LinearOperator((dim, dim), matvec=lambda x: apply_hamiltonian(s, sched, diag, x),
                         dtype=np.float64)

@@ -193,7 +193,7 @@ def test_dense_matches_full_diagonalization():
        s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        schedule=st.sampled_from(["linear", "steep"]))
 def test_sector_split_matches_full_diagonalization(data, k, p, seed, s, schedule):
-    # m ranges up to the full dimension, past the odd sector's size
+    # m ranges up to the full dimension, past every sector's size
     g = generate_er(data.draw(st.integers(1, 9 // k), label="n_vertices"), p, seed)
     diag = build_problem_diagonal(build_coloring_qubo(g, k))
     sched = resolve_schedule(schedule)
@@ -202,27 +202,104 @@ def test_sector_split_matches_full_diagonalization(data, k, p, seed, s, schedule
     assert np.allclose(lowest_eigenvalues(s, sched, diag, m), full[:m], rtol=0.0, atol=1e-9)
 
 
+def _group(gens, dim):
+    group = [np.arange(dim)]
+    for g in gens:
+        group += [e[g] for e in group]
+    return group
+
+
+def _block_permutation(order, k, n):
+    """Basis index map that moves the k bits of block v to block order[v], bit by bit."""
+    out = np.zeros(1 << n, dtype=np.int64)
+    for x in range(1 << n):
+        for bit in range(n):
+            if x >> bit & 1:
+                v, c = divmod(bit, k)
+                out[x] |= 1 << (order[v] * k + c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_symmetries_are_commuting_involutions_that_keep_the_diagonal(data, k, p, seed):
+    g = generate_er(data.draw(st.integers(1, 9 // k), label="n_vertices"), p, seed)
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    dim = 1 << diag.n_qubits
+    x = np.arange(dim)
+    gens = diag.symmetries
+    for i, perm in enumerate(gens):
+        assert np.array_equal(perm[perm], x) and not np.array_equal(perm, x)
+        assert np.array_equal(diag.values[perm], diag.values)
+        assert all(np.array_equal(perm[h], h[perm]) for h in gens[:i])
+        assert not any(np.array_equal(perm, e) for e in _group(gens[:i], dim))
+    assert sum(labels.size for labels, _, _ in diag.sectors) == dim
+
+
+def test_relabelled_p5_finds_the_color_swap_and_the_reflection():
+    relabel = [3, 0, 4, 1, 2]
+    g = Graph(5, tuple((relabel[v], relabel[v + 1]) for v in range(4)))
+    diag = build_problem_diagonal(build_coloring_qubo(g, 2))
+    mirror = [0] * 5
+    for v in range(5):
+        mirror[relabel[v]] = relabel[4 - v]
+    swap, reflection = diag.symmetries
+    # swapping colors 0 and 1 at every vertex permutes the 1-bit blocks
+    assert np.array_equal(swap, _block_permutation([1, 0, 3, 2, 5, 4, 7, 6, 9, 8], 1, 10))
+    assert np.array_equal(reflection, _block_permutation(mirror, 2, 10))
+
+
+def test_two_disjoint_edges_find_two_vertex_involutions():
+    # the automorphisms of two disjoint edges form a dihedral group of order
+    # 8; its largest subgroups of commuting involutions have order 4
+    diag = build_problem_diagonal(build_coloring_qubo(Graph(4, ((0, 1), (2, 3))), 2))
+    assert len(diag.symmetries) == 3
+    assert len(diag.sectors) == 8
+    dim = 1 << diag.n_qubits
+    for s in (0.3, 0.6):
+        full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, diag))
+        assert np.allclose(lowest_eigenvalues(s, LIN, diag, dim), full, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("g, k", [(complete_graph(3), 3), (generate_er(4, 0.5, 1), 2),
                                   (generate_er(3, 0.7, 2), 3)])
 def test_color_swap_refused_when_the_diagonal_breaks_it(g, k):
     diag = build_problem_diagonal(build_coloring_qubo(g, k))
     dim = 1 << diag.n_qubits
-    swap = diag.color_swap
+    swap = diag.symmetries[0]
     assert swap[1] == 2 and np.array_equal(diag.values[swap], diag.values)
     # every candidate swap exchanges bits 0 and 1, so moving entry 1 by one
-    # ulp breaks all of them
+    # ulp breaks all of them, and without a color swap there is no block
+    # width to search vertex involutions on
     values = diag.values.copy()
     values[1] = np.nextafter(values[1], np.inf)
     nudged = ProblemDiagonal(diag.n_qubits, values)
-    assert np.array_equal(nudged.color_swap, np.arange(dim))
+    assert nudged.symmetries == ()
+    for s in (0.3, 0.6):
+        full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, nudged))
+        assert np.allclose(lowest_eigenvalues(s, LIN, nudged, dim), full, rtol=0.0, atol=1e-9)
+
+
+def test_vertex_involution_refused_when_the_diagonal_breaks_it():
+    # P3 at k = 2: the color swap and the reflection of vertices 0 and 2.
+    # Moving both of the swap's images of "vertex 0 has color 0" by one ulp
+    # keeps the swap and breaks the reflection
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(3), 2))
+    swap, reflection = diag.symmetries
+    assert np.array_equal(reflection, _block_permutation([2, 1, 0], 2, 6))
+    values = diag.values.copy()
+    values[[0b1, swap[0b1]]] = np.nextafter(values[0b1], np.inf)
+    nudged = ProblemDiagonal(diag.n_qubits, values)
+    assert len(nudged.symmetries) == 1 and np.array_equal(nudged.symmetries[0], swap)
+    dim = 1 << diag.n_qubits
     for s in (0.3, 0.6):
         full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, nudged))
         assert np.allclose(lowest_eigenvalues(s, LIN, nudged, dim), full, rtol=0.0, atol=1e-9)
 
 
 def test_dense_solve_holds_less_than_one_full_matrix():
-    # each sector matrix has about half the full dimension, so a quarter of
-    # its bytes, and eigh overwrites it instead of copying it
+    # each sector matrix has at most about half the full dimension, so at
+    # most a quarter of its bytes, and eigh overwrites it instead of copying it
     diag = build_problem_diagonal(build_coloring_qubo(path_graph(5), 2))
     tracemalloc.start()
     try:
@@ -259,6 +336,14 @@ def test_iterative_solver_matches_sparse_oracle():
     oracle = np.sort(scipy.sparse.linalg.eigsh(h, k=5, which="SA", return_eigenvectors=False))
     vals = lowest_eigenvalues(s, LIN, diag, m=5)
     assert np.allclose(vals, oracle, atol=1e-7)
+
+
+def test_iterative_path_never_searches_for_symmetries():
+    # the block search is factorial in the vertex count (10! orders at 20
+    # qubits), so only the dense path may run it
+    diag = build_problem_diagonal(build_coloring_qubo(generate_er(13, 0.3, 8), 1))
+    lowest_eigenvalues(0.55, LIN, diag, m=2)
+    assert "symmetries" not in diag.__dict__ and "sectors" not in diag.__dict__
 
 
 def test_p5_s1_ground_degeneracy():
