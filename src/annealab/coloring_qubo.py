@@ -49,17 +49,14 @@ def bits_to_array(bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sample:
-    """One sampled assignment with its QUBO energy and validity flag."""
+    """One sampled assignment with its QUBO energy."""
 
     bits: str
     energy: float
-    valid: bool
 
-    @classmethod
-    def scored(cls, bits: str, energy: float) -> "Sample":
-        """The sample of `bits` at `energy`, valid iff the energy is zero
-        within VALID_ENERGY_TOL: the one validity rule."""
-        return cls(bits, energy, abs(energy) <= VALID_ENERGY_TOL)
+    @property
+    def valid(self) -> bool:  # the one validity rule
+        return abs(self.energy) <= VALID_ENERGY_TOL
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,7 @@ def validate(q: QuboProblem, bits) -> bool:
     construction) when the QUBO carries no source graph.
     """
     if q.source is None:
-        return Sample.scored(bits, q.energy(bits)).valid
+        return Sample(bits, q.energy(bits)).valid
     coloring = decode(q, bits)
     if isinstance(coloring, OneHotViolation):
         return False

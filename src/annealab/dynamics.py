@@ -195,8 +195,9 @@ def evolve(
     Equal inputs return the memoized state of the first call."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
-    if not (0 < accuracy < math.inf and 0 < time_scale < math.inf):
-        raise ValueError("accuracy and time_scale must be positive and finite")
+    if not 0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
+    check_time_scale(time_scale)
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
     final = _MEMO.get(key)
     if final is not None:
@@ -234,6 +235,12 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"need shots >= 1, got {shots}")
 
 
+def check_time_scale(time_scale) -> None:
+    """The one time-scale rule of both samplers; None means the sampler's default."""
+    if time_scale is not None and not 0 < time_scale < math.inf:
+        raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
+
+
 def sample(state: QuantumState, shots: int, seed) -> list[str]:
     """Born-rule draws, i.i.d., deterministic per seed."""
     check_shots(shots)
@@ -260,5 +267,5 @@ def anneal(
     check_shots(shots)
     start = driver_ground(diag.n_qubits) if initial is None else basis_state(initial)
     final = evolve(start, path, sched, diag, time_scale=time_scale)
-    return [Sample.scored(bits, float(diag.values[bits_to_index(bits)]))
+    return [Sample(bits, float(diag.values[bits_to_index(bits)]))
             for bits in sample(final, shots, seed)]

@@ -20,8 +20,9 @@ collect-mode chains (series, chain key, s'). One driver runs the plans and
 writes the records; each protocol only aggregates them into its CSV. The
 baseline arms share the chain seeds, so assisted vs random comparisons
 differ only in the starting bitstring. Raw records are JSONL; aggregates
-are CSV recomputable from the raw dumps; a manifest carrying the config and
-its hash makes any run replayable bit for bit.
+are CSV recomputable from the raw dumps, bar scaling.csv's avg_forward_unique
+(records keep only the forward count, valid count and minimum energy); a
+manifest carrying the config and its hash makes any run replayable bit for bit.
 
 Per-s' sample budgets count reverse-anneal cycles (one chained sample per
 cycle), not measurement shots.

@@ -45,10 +45,9 @@ class SvmcBackend:
     beta: float = svmc.DEFAULT_BETA
 
     def _sweeps(self, time_scale) -> int:
+        dynamics.check_time_scale(time_scale)
         if time_scale is None:
             return self.sweeps_per_waypoint
-        if not 0 < time_scale < np.inf:
-            raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
         return max(1, round(self.sweeps_per_waypoint * time_scale))
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
@@ -162,7 +161,7 @@ def _as_entropy(seed) -> tuple[int, ...]:
 def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
               shots_per_cycle: int = 1, policy: str = FEED_LAST,
               time_scale=None, halt_on_valid: bool = True):
-    """Iterate reverse-anneal cycles from `initial`, cycle c seeded [*seed, 2, c].
+    """run_problem's inner loop: reverse-anneal cycles from `initial`, cycle c seeded [*seed, 2, c].
 
     Each cycle draws shots_per_cycle samples and keeps the lowest-energy one
     (ties to the lexicographically smaller bitstring). feed-last hands that
@@ -171,10 +170,6 @@ def run_chain(problem, backend, sched, path, initial: str, n_cycles: int, seed,
     valid output; otherwise it always runs n_cycles (collection mode, used
     by the sweep protocols).
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown feeding policy {policy!r}")
-    if shots_per_cycle < 1:
-        raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
     path.check_start(initial, problem.n_vars)
     prefix = [*_as_entropy(seed), 2]
     cycles: list[CycleRecord] = []
@@ -206,8 +201,16 @@ def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, sele
     With halt_on_valid a valid forward sample solves the problem, so the
     chains that would start from the selection run no cycle and record
     solved-by-forward. A StatevectorBackend hands a problem past QUBIT_CAP
-    to its fallback rotor sampler, and the records say so.
+    to its fallback rotor sampler, and the records say so. It refuses every
+    setting before the forward stage, s' and total_time via the reverse paths.
     """
+    paths = [make_reverse_path(s_prime, total_time) for s_prime, *_ in chains]
+    if policy not in POLICIES:
+        raise ValueError(f"unknown feeding policy {policy!r}")
+    if shots_per_cycle < 1:
+        raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
+    dynamics.check_time_scale(forward_time_scale)
+    dynamics.check_time_scale(ra_time_scale)
     substituted = isinstance(backend, StatevectorBackend) and problem.n_vars > QUBIT_CAP
     if substituted:
         backend = backend.fallback
@@ -218,10 +221,10 @@ def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, sele
     solved = halt_on_valid and summary["valid_count"] > 0
     selected = None if solved else select_initial(fwd, select_seed)
     records = []
-    for s_prime, chain_seed, start, seeds in chains:
+    for (s_prime, chain_seed, start, seeds), path in zip(chains, paths):
         initial = selected if start is None else start
         cycles = () if initial is None else run_chain(
-            problem, backend, sched, make_reverse_path(s_prime, total_time), initial, n_cycles,
+            problem, backend, sched, path, initial, n_cycles,
             chain_seed, shots_per_cycle=shots_per_cycle, policy=policy, time_scale=ra_time_scale,
             halt_on_valid=halt_on_valid)
         records.append(RunRecord(
@@ -256,10 +259,6 @@ def assisted_reverse_anneal(
     policy: str = FEED_LAST,
 ) -> RunRecord:
     """Forward stage, early exit on any valid sample, else iterated RA."""
-    if not 0.0 < s_prime < 1.0:
-        raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
-    if forward_shots < 1:
-        raise ValueError(f"need forward_shots >= 1, got {forward_shots}")
     if max_cycles < 0:
         raise ValueError(f"need max_cycles >= 0, got {max_cycles}")
     entropy = _as_entropy(seed)

@@ -165,8 +165,6 @@ class AnnealPath:
 
 
 def make_forward_path(total_time: float) -> AnnealPath:
-    if total_time <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
     return AnnealPath(np.array([0.0, total_time]), np.array([0.0, 1.0]), kind="forward")
 
 
@@ -176,8 +174,6 @@ def make_reverse_path(s_prime: float, total_time: float) -> AnnealPath:
     interval durations fixed by _REVERSE_FRACTIONS."""
     if not 0.0 < s_prime < 1.0:
         raise ValueError(f"reverse distance must be in (0, 1), got {s_prime}")
-    if total_time <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
     down = np.linspace(1.0, s_prime, 6)
     up = np.linspace(s_prime, 1.0, 6)
     svals = np.concatenate([down, [s_prime], up[1:]])

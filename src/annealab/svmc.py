@@ -102,4 +102,4 @@ def svmc_run(
     # bit 0 (spin +1) iff cos(theta) >= 0
     spins = np.where(np.array(m) >= 0.0, 1.0, -1.0)
     bits = "".join("0" if sp > 0 else "1" for sp in spins)
-    return Sample.scored(bits, float(ising.energy(spins)))
+    return Sample(bits, float(ising.energy(spins)))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,7 +148,7 @@ def test_ising_conversion_energy_identity(q, data):
 def test_validate_agrees_with_scored_energy(q, data):
     # the combinatorial check and the energy-zero rule name the same samples
     bits = data.draw(st.text("01", min_size=q.n_vars, max_size=q.n_vars))
-    assert validate(q, bits) == Sample.scored(bits, q.energy(bits)).valid
+    assert validate(q, bits) == Sample(bits, q.energy(bits)).valid
 
 
 def test_ising_single_variable():
@@ -192,10 +192,17 @@ def test_validate_without_source_uses_energy():
 
 
 def test_sample_validity_boundary():
-    assert Sample.scored("0101", 1e-9).valid
-    assert Sample.scored("0101", -1e-9).valid
-    assert not Sample.scored("0101", 2e-9).valid
-    assert Sample.scored("0101", 2e-9) == Sample("0101", 2e-9, False)
+    assert Sample("0101", 1e-9).valid
+    assert Sample("0101", -1e-9).valid
+    assert not Sample("0101", 2e-9).valid
+
+
+def test_sample_validity_is_its_energy():
+    # a sample holds its bits and energy only, so no flag can contradict them
+    assert [f.name for f in fields(Sample)] == ["bits", "energy"]
+    with pytest.raises(TypeError):
+        Sample("0101", 2e-9, True)
+    assert not hasattr(Sample, "scored")
 
 
 def test_guards():

@@ -379,8 +379,8 @@ def _guard_evolve(**kw):
     (lambda: sample(driver_ground(2), shots=0, seed=0), "need shots >= 1, got 0"),
     (lambda: driver_ground(0), "need n >= 1, got 0"),
     (lambda: QuantumState(2, np.ones(3) / math.sqrt(3)), r"need 2\^2 amplitudes, got shape \(3,\)"),
-    (lambda: _guard_evolve(accuracy=math.nan), "accuracy and time_scale must be positive and"),
-    (lambda: _guard_evolve(time_scale=math.nan), "accuracy and time_scale must be positive and"),
+    (lambda: _guard_evolve(accuracy=math.nan), "accuracy must be positive and finite, got nan"),
+    (lambda: _guard_evolve(time_scale=math.nan), "time_scale must be positive and finite, got nan"),
     (lambda: basis_state("2020"), "bits must be 0s and 1s, got '2020'"),
 ], ids=["sample-shots", "driver-ground", "state-length", "evolve-accuracy-nan",
         "evolve-time-scale-nan", "basis-state-digit-2"])

@@ -1,7 +1,10 @@
 """Batch-harness tests on deliberately tiny configs."""
 
+import csv
 import json
 import pickle
+from collections import defaultdict
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,68 @@ def test_scaling_seeds_carry_the_size_at_every_stage(tmp_path, monkeypatch):
     m = cfg.seed
     assert seen == {"graph": [[m, 0, 3, 0], [m, 0, 4, 0]], "forward": [[m, 1, 3, 0], [m, 1, 4, 0]],
                     "select": [[m, 2, 3, 0], [m, 2, 4, 0]], "chain": [[m, 3, 3, 0], [m, 3, 4, 0]]}
+
+
+def _read_csv(path) -> list[dict]:
+    """CSV rows with every column but the text ones read as a float."""
+    with open(path, newline="") as f:
+        return [{k: v if k in ("problem_id", "case", "series") else float(v)
+                 for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+def _read_jsonl(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _ra_valid(rec) -> tuple[int, int]:
+    """(valid, unique valid) cycle outputs of a record."""
+    bits = [c["output_bits"] for c in rec["cycles"] if c["valid"]]
+    return len(bits), len(set(bits))
+
+
+def test_aggregates_recompute_from_the_records(tmp_path):
+    """Every sweep_summary.csv and baseline.csv value, and every scaling.csv
+    column but avg_forward_unique, follows from the JSONL records alone.
+    Records keep the forward count, valid count and minimum energy, not the
+    valid bitstrings, so the forward unique-valid count cannot be rebuilt."""
+    cfg = tiny_config(sizes=(3, 4))
+    sweep_reverse_distance(cfg, tmp_path / "sweep")
+    expected = []
+    for rec in _read_jsonl(tmp_path / "sweep" / "sweep_records.jsonl"):
+        seeded_valid = rec["forward"]["valid_count"] > 0
+        total, unique = _ra_valid(rec)
+        expected.append({
+            "problem_index": rec["seeds"]["chain"][2], "problem_id": rec["problem_id"],
+            "n_vars": rec["n_vars"], "k": rec["k"], "s_prime": rec["path_info"]["s_prime"],
+            "initial_valid": int(seeded_valid), "case": "AB" if seeded_valid else "CD",
+            "total_valid": total, "unique_valid": unique, "n_cycles": len(rec["cycles"]),
+        })
+    assert _read_csv(tmp_path / "sweep" / "sweep_summary.csv") == expected
+
+    baseline_run(cfg, tmp_path / "baseline")
+    arms = defaultdict(list)
+    for rec in _read_jsonl(tmp_path / "baseline" / "baseline_records.jsonl"):
+        arms[(rec["series"], rec["path_info"]["s_prime"])].append(_ra_valid(rec))
+    expected = [{"series": series, "s_prime": s, "n_problems": len(counts),
+                 "avg_valid": fmean(v for v, _ in counts),
+                 "avg_unique": fmean(u for _, u in counts)}
+                for (series, s), counts in arms.items()]
+    key = lambda row: (row["series"], row["s_prime"])
+    assert sorted(_read_csv(tmp_path / "baseline" / "baseline.csv"), key=key) == sorted(
+        expected, key=key)
+
+    scaling_run(cfg, tmp_path / "scaling")
+    sizes = defaultdict(list)
+    for rec in _read_jsonl(tmp_path / "scaling" / "scaling_records.jsonl"):
+        sizes[rec["n_vars"]].append(rec)
+    expected = [{"n_vars": n, "n_problems": len(recs),
+                 "avg_forward_valid": fmean(r["forward"]["valid_count"] for r in recs),
+                 "avg_ra_valid": fmean(_ra_valid(r)[0] for r in recs),
+                 "avg_ra_unique": fmean(_ra_valid(r)[1] for r in recs)}
+                for n, recs in sorted(sizes.items())]
+    rows = _read_csv(tmp_path / "scaling" / "scaling.csv")
+    assert all(0 <= row.pop("avg_forward_unique") <= row["avg_forward_valid"] for row in rows)
+    assert rows == expected
 
 
 def test_scaling_requires_sizes(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from annealab.coloring_qubo import Sample, build_coloring_qubo, index_to_bits, validate
 from annealab import dynamics
 from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
-from annealab.graphs import path_graph
+from annealab.graphs import Graph, path_graph
 from annealab.heuristic import (
     FEED_LAST,
     KEEP_BEST,
@@ -57,32 +58,32 @@ class ScriptedBackend:
         self.calls += 1
         assert len(batch) == shots
         return [
-            Sample(bits=b, energy=problem.energy(b), valid=validate(problem, b))
+            Sample(bits=b, energy=problem.energy(b))
             for b in batch
         ]
 
 
 def test_select_initial_returns_the_only_valid():
-    samples = [Sample("0" * 10, 3.0, False)] * 9 + [Sample("1001100110", 0.0, True)]
+    samples = [Sample("0" * 10, 3.0)] * 9 + [Sample("1001100110", 0.0)]
     assert select_initial(samples, seed=0) == "1001100110"
 
 
 def test_select_initial_takes_lowest_energy_when_none_valid():
     samples = [
-        Sample("1100000000", 3.0, False),
-        Sample("0011000000", 1.0, False),
-        Sample("0000110000", 2.0, False),
+        Sample("1100000000", 3.0),
+        Sample("0011000000", 1.0),
+        Sample("0000110000", 2.0),
     ]
     assert select_initial(samples, seed=0) == "0011000000"
 
 
 def test_select_initial_breaks_energy_ties_lexicographically():
-    samples = [Sample("10", 1.0, False), Sample("01", 1.0, False)]
+    samples = [Sample("10", 1.0), Sample("01", 1.0)]
     assert select_initial(samples, seed=0) == "01"
 
 
 def test_select_initial_uniform_over_valids_is_seeded():
-    samples = [Sample(f"{i:04b}", 0.0, True) for i in range(8)]
+    samples = [Sample(f"{i:04b}", 0.0) for i in range(8)]
     picks = {select_initial(samples, seed=s) for s in range(30)}
     assert len(picks) > 1  # actually random
     assert select_initial(samples, seed=4) == select_initial(samples, seed=4)
@@ -303,11 +304,11 @@ def _guard_assisted(**kw):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: _guard_run_chain(policy="bogus"), "unknown feeding policy 'bogus'"),
-    (lambda: _guard_run_chain(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
+    (lambda: _guard_assisted(policy="bogus"), "unknown feeding policy 'bogus'"),
+    (lambda: _guard_assisted(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
     (lambda: _guard_run_chain(seed=-1), "seed entries must be non-negative"),
     (lambda: _guard_run_chain(seed=1.5), "seed must be an int or sequence of ints"),
-    (lambda: _guard_assisted(forward_shots=0), "need forward_shots >= 1, got 0"),
+    (lambda: _guard_assisted(forward_shots=0), "need shots >= 1, got 0"),
     (lambda: _guard_assisted(max_cycles=-1), "need max_cycles >= 0, got -1"),
     (lambda: SvmcBackend(5).forward(P5, resolve_schedule("steep"), total_time=100.0, shots=1,
                                     seed=0, time_scale=0.0),
@@ -331,6 +332,41 @@ def _guard_assisted(**kw):
 def test_heuristic_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# P6 plus the chord (0, 2) has no 2-coloring, so its forward stage cannot
+# solve it; P3's forward stage does solve it
+P6_CHORD = build_coloring_qubo(Graph(6, path_graph(6).edges + ((0, 2),)), 2)
+P3 = build_coloring_qubo(path_graph(3), 2)
+ASSISTED = dict(s_prime=0.44, forward_shots=5, max_cycles=2, seed=0)
+
+
+def test_p3_forward_stage_solves_it():
+    rec = assisted_reverse_anneal(P3, StatevectorBackend(), resolve_schedule("steep"), **ASSISTED)
+    assert rec.outcome == OUTCOME_FORWARD
+
+
+@pytest.mark.parametrize("problem", [P6_CHORD, P3], ids=["p6-chord", "p3-solved-by-forward"])
+@pytest.mark.parametrize("setting, match", [
+    (dict(policy="bogus"), "unknown feeding policy 'bogus'"),
+    (dict(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
+    (dict(ra_time_scale=0.0), "time_scale must be positive and finite, got 0.0"),
+    (dict(forward_time_scale=math.nan), "time_scale must be positive and finite, got nan"),
+], ids=["policy", "shots-per-cycle", "ra-time-scale", "forward-time-scale-nan"])
+def test_assisted_refuses_bad_settings_before_the_forward_stage(monkeypatch, problem, setting,
+                                                                 match):
+    calls = []
+    forward = StatevectorBackend.forward
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(StatevectorBackend, "forward", spy)
+    with pytest.raises(ValueError, match=match):
+        assisted_reverse_anneal(problem, StatevectorBackend(), resolve_schedule("steep"),
+                                **ASSISTED | setting)
+    assert calls == []
 
 
 @pytest.mark.parametrize("shots", [0, -1])

@@ -178,7 +178,7 @@ def _svmc_run_reference(
     # bit 0 (spin +1) iff cos(theta) >= 0
     spins = np.where(m >= 0.0, 1.0, -1.0)
     bits = "".join("0" if sp > 0 else "1" for sp in spins)
-    return Sample.scored(bits, float(ising.energy(spins)))
+    return Sample(bits, float(ising.energy(spins)))
 
 
 # fields and couplings include exact zeros; a spin with no coupling is isolated
