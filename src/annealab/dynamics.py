@@ -197,7 +197,7 @@ def evolve(
         raise ValueError("state and problem dimensions differ")
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
-    check_time_scale(time_scale)
+    check_time_scale(time_scale, path.total_time)
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
     final = _MEMO.get(key)
     if final is not None:
@@ -235,10 +235,11 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"need shots >= 1, got {shots}")
 
 
-def check_time_scale(time_scale) -> None:
-    """The one time-scale rule of both samplers; None means the sampler's default."""
-    if time_scale is not None and not 0 < time_scale < math.inf:
-        raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
+def check_time_scale(time_scale, span: float) -> None:
+    """The one time-scale rule of both samplers (None means the sampler's
+    default): positive, and finite times the span it stretches."""
+    if time_scale is not None and not (time_scale > 0 and math.isfinite(time_scale * span)):
+        raise ValueError(f"time_scale must be positive and finite, got {time_scale} (times {span:g})")
 
 
 def sample(state: QuantumState, shots: int, seed) -> list[str]:

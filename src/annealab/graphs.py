@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,14 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 edges.append((u, v))
     return Graph(n, tuple(edges))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex permutations p (v goes to p[v]) that map g's edge set onto
+    itself, in lexicographic order, the identity first: one pass over n! orders."""
+    edges = set(g.edges)
+    return [p for p in permutations(range(g.n_vertices))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)]
 
 
 def greedy_color_largest_first(g: Graph) -> tuple[int, dict[int, int]]:

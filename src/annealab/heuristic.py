@@ -45,7 +45,7 @@ class SvmcBackend:
     beta: float = svmc.DEFAULT_BETA
 
     def _sweeps(self, time_scale) -> int:
-        dynamics.check_time_scale(time_scale)
+        dynamics.check_time_scale(time_scale, self.sweeps_per_waypoint)
         if time_scale is None:
             return self.sweeps_per_waypoint
         return max(1, round(self.sweeps_per_waypoint * time_scale))
@@ -209,8 +209,8 @@ def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, sele
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
-    dynamics.check_time_scale(forward_time_scale)
-    dynamics.check_time_scale(ra_time_scale)
+    dynamics.check_time_scale(forward_time_scale, total_time)
+    dynamics.check_time_scale(ra_time_scale, total_time)
     substituted = isinstance(backend, StatevectorBackend) and problem.n_vars > QUBIT_CAP
     if substituted:
         backend = backend.fallback

@@ -11,10 +11,9 @@ Basis convention: variable i is bit i (little endian) of the basis index.
 
 Dense solves split H(s) by an abelian group G of basis permutations that
 leave the problem diagonal unchanged, generated by r commuting involutions
-(ProblemDiagonal.symmetries): the swap of bits that swaps colors 0 and 1 at
-every vertex of a one-hot layout, and permutations of whole vertex blocks by
-vertex involutions that keep the diagonal. The driver commutes with every bit
-permutation, so G commutes with H(s), and H(s) is block diagonal in the 2^r
+that ProblemDiagonal.symmetries takes from the coloring problem: color swaps
+at every vertex and the graph's automorphisms. The driver commutes with every
+bit permutation, so G commutes with H(s), and H(s) is block diagonal in the 2^r
 sectors of G's +-1 characters chi. The sector vector of an orbit labelled by
 its smallest state L is proportional to sum_g chi(g) |g L>; it is zero, and
 the orbit drops out of that sector, when chi is -1 on an element fixing L.
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +33,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coloring_qubo import QuboProblem
+from .graphs import automorphisms
 from .schedules import Schedule
 
 DENSE_QUBIT_LIMIT = 12
@@ -54,16 +53,18 @@ class SpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemDiagonal:
-    """The 2^n diagonal of the problem Hamiltonian."""
+    """The 2^n diagonal of the problem Hamiltonian: values[x] is the problem's
+    energy of basis state x, tabulated on construction up to QUBIT_CAP qubits."""
 
-    n_qubits: int
-    values: np.ndarray
+    problem: QuboProblem
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (1 << self.n_qubits,):
-            raise ValueError(f"need 2^{self.n_qubits} diagonal entries, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
+        q = self.problem
+        if q.n_vars > QUBIT_CAP:
+            raise ValueError(f"diagonal construction capped at {QUBIT_CAP} qubits, got {q.n_vars}")
+        r = np.arange(1 << q.n_vars, dtype=np.uint32)
+        # derived, so not fields; written past the frozen class's __setattr__
+        self.__dict__.update(n_qubits=q.n_vars, values=q.energy_sum(lambda i: (r >> i) & 1))
 
     @cached_property
     def bounds(self) -> tuple[float, float]:
@@ -72,33 +73,25 @@ class ProblemDiagonal:
     @cached_property
     def symmetries(self) -> tuple[np.ndarray, ...]:
         """Commuting involutions of the basis that leave the diagonal
-        unchanged, each as an index array g (state x goes to g[x]).
-
-        The first swaps bits v*k and v*k + 1 for every v < n_qubits / k, for
-        the smallest stride k >= 2 dividing n_qubits under which the diagonal
-        is unchanged (colors 0 and 1 at every vertex of a one-hot layout of
-        k colors); empty if there is no such k. The rest permute whole k-bit
-        blocks by an involution of the blocks, taken greedily in
-        lexicographic order when the diagonal is unchanged, the permutation
-        commutes with every one already taken and is not in their group.
-        The search tries (n_qubits / k)! block orders, 720 at 6 vertices."""
-        n = self.n_qubits
-        x = np.arange(1 << n)
-        for k in range(2, n + 1):
-            if n % k:
-                continue
-            low = sum(1 << v for v in range(0, n, k))
-            swapped = ((x >> 1) & low) | ((x & low) << 1) | (x & ~(low * 3))
-            if np.array_equal(self.values[swapped], self.values):
-                break
-        else:
+        unchanged, each as an index array g (state x goes to g[x]): of the
+        color swaps (0 1), (2 3), ... at every vertex, then the source graph's
+        involutive automorphisms in lexicographic order, each one that keeps
+        the diagonal, commutes with those taken and is not in their group.
+        Empty without a source graph or below 2 colors."""
+        q = self.problem
+        if q.source is None or q.k < 2:
             return ()
-        gens, group = [swapped], [x, swapped]
-        blocks = [(x >> (k * v)) & ((1 << k) - 1) for v in range(n // k)]
-        for order in permutations(range(len(blocks))):
-            if any(order[w] != v for v, w in enumerate(order)):
-                continue
-            g = sum(block << (k * w) for block, w in zip(blocks, order))
+        keep_v, keep_c = tuple(range(q.source.n_vertices)), tuple(range(q.k))
+        swaps = [(keep_v, tuple(c ^ 1 if c >> 1 == pair else c for c in keep_c))
+                 for pair in range(q.k // 2)]
+        flips = [(p, keep_c) for p in automorphisms(q.source)
+                 if all(p[w] == v for v, w in enumerate(p))]
+        index = {(v, c): i for v, c, i in q.var_map}
+        x = np.arange(self.values.size)
+        gens, group = [], [x]
+        # each candidate moves the var_map bit of (v, c) to that of (to_v[v], to_c[c])
+        for to_v, to_c in swaps + flips:
+            g = sum(((x >> i) & 1) << index[to_v[v], to_c[c]] for v, c, i in q.var_map)
             if (np.array_equal(self.values[g], self.values)
                     and all(np.array_equal(g[h], h[g]) for h in gens)
                     and not any(np.array_equal(g, e) for e in group)):
@@ -145,11 +138,8 @@ class ProblemDiagonal:
 
 
 def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
-    """Tabulate QuboProblem.energy(x) for every basis state x. Guarded at QUBIT_CAP qubits."""
-    if q.n_vars > QUBIT_CAP:
-        raise ValueError(f"diagonal construction capped at {QUBIT_CAP} qubits, got {q.n_vars}")
-    r = np.arange(1 << q.n_vars, dtype=np.uint32)
-    return ProblemDiagonal(q.n_vars, q.energy_sum(lambda i: (r >> i) & 1))
+    """The diagonal of q: QuboProblem.energy(x) for every basis state x."""
+    return ProblemDiagonal(q)
 
 
 @cache
@@ -233,7 +223,7 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     commuting involutions that leave the diagonal unchanged (see the module
     docstring): the m lowest of all sectors' lowest levels together are
     exactly the m lowest levels of H(s), degenerate copies included. The
-    symmetries are searched for only here, once per diagonal. Above 12
+    symmetries are built only here, once per diagonal. Above 12
     qubits, an iterative extremal solver on the matrix-free operator with
     deterministic seeded restarts, which can drop copies of a level that a
     symmetry of H(s) makes degenerate.

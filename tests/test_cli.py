@@ -135,6 +135,9 @@ def test_graph_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys):
     ("--total-time", "inf", "total_time must be positive and finite, got inf"),
     ("--ra-time-scale", "1e308",
      "ra_time_scale must be positive and finite times total_time, got 1e+308"),
+    # finite times total_time, but not times the rotor sampler's 1000 sweeps
+    ("--forward-time-scale", "1e306", "time_scale must be positive and finite, got 1e+306 "
+                                      "(times 1000)"),
 ])
 def test_anneal_rejects_bad_values_before_writing(tmp_path, p5_file, capsys, flag, value,
                                                   message):

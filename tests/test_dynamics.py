@@ -381,9 +381,12 @@ def _guard_evolve(**kw):
     (lambda: QuantumState(2, np.ones(3) / math.sqrt(3)), r"need 2\^2 amplitudes, got shape \(3,\)"),
     (lambda: _guard_evolve(accuracy=math.nan), "accuracy must be positive and finite, got nan"),
     (lambda: _guard_evolve(time_scale=math.nan), "time_scale must be positive and finite, got nan"),
+    (lambda: evolve(driver_ground(5), make_forward_path(100.0), resolve_schedule("linear"),
+                    p5_diag(1), time_scale=1e308),
+     r"time_scale must be positive and finite, got 1e\+308 \(times 100\)"),
     (lambda: basis_state("2020"), "bits must be 0s and 1s, got '2020'"),
 ], ids=["sample-shots", "driver-ground", "state-length", "evolve-accuracy-nan",
-        "evolve-time-scale-nan", "basis-state-digit-2"])
+        "evolve-time-scale-nan", "evolve-time-scale-overflow", "basis-state-digit-2"])
 def test_dynamics_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -4,6 +4,7 @@ import pytest
 
 from annealab.graphs import (
     Graph,
+    automorphisms,
     generate_er,
     greedy_color_largest_first,
     is_proper_coloring,
@@ -58,6 +59,19 @@ def test_er_density_sane():
     total = sum(generate_er(n, p, s).n_edges for s in range(10))
     expected = 10 * p * n * (n - 1) / 2
     assert 0.8 * expected < total < 1.2 * expected
+
+
+@pytest.mark.parametrize("g, order", [
+    (path_graph(5), 2), (cycle_graph(5), 10), (cycle_graph(6), 12), (complete_graph(4), 24),
+    (Graph(5), 120), (Graph(4, ((0, 1), (0, 2), (0, 3))), 6), (Graph(4, ((0, 1), (2, 3))), 8),
+], ids=["P5", "C5", "C6", "K4", "edgeless-5", "star-K13", "two-disjoint-edges"])
+def test_automorphisms_match_the_known_group_orders(g, order):
+    found = automorphisms(g)
+    assert len(found) == order == len(set(found))
+    assert found[0] == tuple(range(g.n_vertices)) and found == sorted(found)
+    for p in found:
+        assert sorted(p) == list(range(g.n_vertices))
+        assert Graph(g.n_vertices, tuple((p[u], p[v]) for u, v in g.edges)).edges == g.edges
 
 
 def test_greedy_k3_needs_three():

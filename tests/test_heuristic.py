@@ -316,6 +316,9 @@ def _guard_assisted(**kw):
     (lambda: SvmcBackend(5).reverse(P5, resolve_schedule("steep"), make_reverse_path(0.44, 1.0),
                                     "0" * P5.n_vars, shots=1, seed=0, time_scale=float("nan")),
      "time_scale must be positive and finite, got nan"),
+    (lambda: SvmcBackend(1000).forward(P5, resolve_schedule("steep"), total_time=100.0,
+                                       shots=1, seed=0, time_scale=1e306),
+     r"time_scale must be positive and finite, got 1e\+306 \(times 1000\)"),
     (lambda: _guard_run_chain(initial="2020" + "0" * 6),
      "initial must be a string of 0s and 1s, got '2020000000'"),
     (lambda: _guard_run_chain(backend=StatevectorBackend(), initial="2020" + "0" * 6),
@@ -327,8 +330,8 @@ def _guard_assisted(**kw):
                                     "0" * P5.n_vars, shots=-1, seed=0),
      "need shots >= 1, got -1"),
 ], ids=["policy", "shots-per-cycle", "negative-seed", "float-seed", "forward-shots",
-        "max-cycles", "svmc-time-scale", "svmc-time-scale-nan", "start-bits-svmc",
-        "start-bits-statevector", "svmc-shots-zero", "svmc-shots-negative"])
+        "max-cycles", "svmc-time-scale", "svmc-time-scale-nan", "svmc-sweeps-overflow",
+        "start-bits-svmc", "start-bits-statevector", "svmc-shots-zero", "svmc-shots-negative"])
 def test_heuristic_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -352,7 +355,11 @@ def test_p3_forward_stage_solves_it():
     (dict(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
     (dict(ra_time_scale=0.0), "time_scale must be positive and finite, got 0.0"),
     (dict(forward_time_scale=math.nan), "time_scale must be positive and finite, got nan"),
-], ids=["policy", "shots-per-cycle", "ra-time-scale", "forward-time-scale-nan"])
+    # finite, but times total_time it overflows
+    (dict(forward_time_scale=1e308), r"got 1e\+308 \(times 100\)"),
+    (dict(ra_time_scale=1e308), r"got 1e\+308 \(times 100\)"),
+], ids=["policy", "shots-per-cycle", "ra-time-scale", "forward-time-scale-nan",
+        "forward-time-scale-overflow", "ra-time-scale-overflow"])
 def test_assisted_refuses_bad_settings_before_the_forward_stage(monkeypatch, problem, setting,
                                                                  match):
     calls = []
@@ -367,6 +374,14 @@ def test_assisted_refuses_bad_settings_before_the_forward_stage(monkeypatch, pro
         assisted_reverse_anneal(problem, StatevectorBackend(), resolve_schedule("steep"),
                                 **ASSISTED | setting)
     assert calls == []
+
+
+@pytest.mark.parametrize("backend", [StatevectorBackend(), SvmcBackend(5)],
+                         ids=["statevector", "svmc"])
+@pytest.mark.parametrize("stage", ["forward_time_scale", "ra_time_scale"])
+def test_time_scale_that_overflows_its_span_is_a_value_error(backend, stage):
+    with pytest.raises(ValueError, match=r"time_scale must be positive and finite, got 1e\+308"):
+        assisted_reverse_anneal(P3, backend, resolve_schedule("steep"), **ASSISTED | {stage: 1e308})
 
 
 @pytest.mark.parametrize("shots", [0, -1])

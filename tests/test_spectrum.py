@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from annealab.coloring_qubo import build_coloring_qubo
+from annealab.coloring_qubo import QuboProblem, build_coloring_qubo
 from annealab.graphs import Graph, generate_er, path_graph
 from annealab import spectrum
 from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
     GATHER_BLOCK,
-    ProblemDiagonal,
     SpectrumError,
     SpectrumTable,
     apply_hamiltonian,
@@ -261,20 +261,28 @@ def test_two_disjoint_edges_find_two_vertex_involutions():
         assert np.allclose(lowest_eigenvalues(s, LIN, diag, dim), full, rtol=0.0, atol=1e-9)
 
 
+def _nudged(q, variables):
+    """q with the linear term of each listed variable raised by 2^-30, which
+    moves the energy of every state with that bit set, exactly."""
+    return dataclasses.replace(q, q=tuple((i, j, v + 2**-30 if i == j and i in variables else v)
+                                          for i, j, v in q.q))
+
+
 @pytest.mark.parametrize("g, k", [(complete_graph(3), 3), (generate_er(4, 0.5, 1), 2),
                                   (generate_er(3, 0.7, 2), 3)])
 def test_color_swap_refused_when_the_diagonal_breaks_it(g, k):
-    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    q = build_coloring_qubo(g, k)
+    diag = build_problem_diagonal(q)
     dim = 1 << diag.n_qubits
     swap = diag.symmetries[0]
     assert swap[1] == 2 and np.array_equal(diag.values[swap], diag.values)
-    # every candidate swap exchanges bits 0 and 1, so moving entry 1 by one
-    # ulp breaks all of them, and without a color swap there is no block
-    # width to search vertex involutions on
-    values = diag.values.copy()
-    values[1] = np.nextafter(values[1], np.inf)
-    nudged = ProblemDiagonal(diag.n_qubits, values)
-    assert nudged.symmetries == ()
+    # every color swap moves bit 0 (vertex 0, color 0), so raising its
+    # linear term breaks all of them. In each graph the swap of vertices 1
+    # and 2 is the one involutive automorphism that fixes vertex 0, and it stays
+    nudged = build_problem_diagonal(_nudged(q, {0}))
+    (flip,) = nudged.symmetries
+    order = [0, 2, 1, *range(3, g.n_vertices)]
+    assert np.array_equal(flip, _block_permutation(order, k, diag.n_qubits))
     for s in (0.3, 0.6):
         full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, nudged))
         assert np.allclose(lowest_eigenvalues(s, LIN, nudged, dim), full, rtol=0.0, atol=1e-9)
@@ -282,14 +290,13 @@ def test_color_swap_refused_when_the_diagonal_breaks_it(g, k):
 
 def test_vertex_involution_refused_when_the_diagonal_breaks_it():
     # P3 at k = 2: the color swap and the reflection of vertices 0 and 2.
-    # Moving both of the swap's images of "vertex 0 has color 0" by one ulp
-    # keeps the swap and breaks the reflection
-    diag = build_problem_diagonal(build_coloring_qubo(path_graph(3), 2))
+    # Raising the linear terms of both colors of vertex 0 keeps the swap and
+    # breaks the reflection
+    q = build_coloring_qubo(path_graph(3), 2)
+    diag = build_problem_diagonal(q)
     swap, reflection = diag.symmetries
     assert np.array_equal(reflection, _block_permutation([2, 1, 0], 2, 6))
-    values = diag.values.copy()
-    values[[0b1, swap[0b1]]] = np.nextafter(values[0b1], np.inf)
-    nudged = ProblemDiagonal(diag.n_qubits, values)
+    nudged = build_problem_diagonal(_nudged(q, {0, 1}))
     assert len(nudged.symmetries) == 1 and np.array_equal(nudged.symmetries[0], swap)
     dim = 1 << diag.n_qubits
     for s in (0.3, 0.6):
@@ -339,8 +346,8 @@ def test_iterative_solver_matches_sparse_oracle():
 
 
 def test_iterative_path_never_searches_for_symmetries():
-    # the block search is factorial in the vertex count (10! orders at 20
-    # qubits), so only the dense path may run it
+    # the automorphism pass is factorial in the vertex count (10! orders at
+    # 20 qubits and k = 2), so only the dense path may run it
     diag = build_problem_diagonal(build_coloring_qubo(generate_er(13, 0.3, 8), 1))
     lowest_eigenvalues(0.55, LIN, diag, m=2)
     assert "symmetries" not in diag.__dict__ and "sectors" not in diag.__dict__
@@ -468,8 +475,7 @@ def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: ProblemDiagonal(2, np.zeros(3)), r"need 2\^2 diagonal entries, got shape \(3,\)"),
-    (lambda: apply_hamiltonian(0.5, LIN, ProblemDiagonal(2, np.zeros(4)), np.zeros(8)),
+    (lambda: apply_hamiltonian(0.5, LIN, build_problem_diagonal(QuboProblem(2)), np.zeros(8)),
      r"state shape \(8,\) does not match \(4,\)"),
     (lambda: SpectrumTable(np.array([0.0, 1.0]), np.zeros((3, 2))),
      r"levels must be \(len\(grid\), m\)"),
@@ -477,7 +483,7 @@ def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
      "levels must be non-decreasing within each row"),
     (lambda: min_gap(SpectrumTable(np.array([0.5]), np.array([[1.0]]))),
      "need at least two levels"),
-], ids=["diagonal-length", "state-shape", "table-shape", "table-row-order", "one-level-gap"])
+], ids=["state-shape", "table-shape", "table-row-order", "one-level-gap"])
 def test_spectrum_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
