@@ -1,18 +1,30 @@
 """State-vector annealing dynamics: i d|psi>/dt = H(s(t)) |psi> with hbar = 1.
 
-The propagator is a Chebyshev polynomial expansion of exp(-i H dt). Each path
-segment is split into equal substeps no wider than `accuracy` in s; within a
-substep H is frozen at the midpoint s, so every substep applies an exact
-(to series truncation ~1e-15) unitary. Pause segments (constant s) are
+A ramp segment (s moving) is cut into equal steps, as few as keep each step
+at most `accuracy` wide in s and MAX_STEP_TIME long. Each step of duration h
+is the fourth-order, two-exponential commutator-free Magnus step CF4:2
+(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
+J. Comput. Phys. 230, 5930 (2011)): exp(-ih(a2 H1 + a1 H2)), then
+exp(-ih(a1 H1 + a2 H2)), with a1,2 = (3 -+ 2 sqrt 3)/12. H1 and H2 are not H
+at the Gauss points: they are H1,2 = B0 -+ 2 sqrt(3) B1, from the step's exact
+moments B0 = int H du and B1 = int (u - 1/2) H du over u in [0, 1], so the two
+factors are B0/2 - 2 B1 and B0/2 + 2 B1. The schedule table is linear between
+rows and has a kink at each, where Gauss points would lose the order; the
+moments of a piecewise-linear a(s) and b(s) are closed forms that see every
+row. Each factor is a real-symmetric a*H_problem + b*H_driver, which is what
+the Chebyshev propagator takes, and a time-mirrored path applies the
+transposed factors in reverse order. Pause segments (constant s) are
 propagated in a single exponential, which conserves the energy expectation to
 rounding. Time is dimensionless: physical duration = waypoint time *
-time_scale.
+time_scale. Before any work, evolve refuses a plan whose estimated series
+length passes MAX_PLAN_TERMS.
 
-A series with argument alpha = (spectral radius) * dt keeps n terms, n the
-smallest count >= max(2, floor(alpha)) at which both |J_n(alpha)| and
-|J_{n-1}(alpha)| are below 1e-15: past alpha the Bessel coefficients decay
-faster than exponentially, so the tail they bound is negligible (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+Each exponential is a Chebyshev polynomial expansion of exp(-i H dt), exact
+to series truncation (~1e-15). A series with argument alpha = (spectral
+radius) * dt keeps n terms, n the smallest count >= max(2, floor(alpha)) at
+which both |J_n(alpha)| and |J_{n-1}(alpha)| are below 1e-15: past alpha the
+Bessel coefficients decay faster than exponentially, so the tail they bound
+is negligible (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
 The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
 norm drifts past DRIFT_BOUND raises IntegratorError instead of being
@@ -45,7 +57,14 @@ SLOW_TIME_SCALE = 8.0
 # reverse-anneal default; fast enough to excite transitions near the gap
 REVERSE_TIME_SCALE = 1.0
 DEFAULT_TOTAL_TIME = 100.0
-DEFAULT_ACCURACY = 0.002
+DEFAULT_ACCURACY = 0.01
+# longest ramp step, in time units; longer CF4:2 steps lose accuracy on slow ramps
+MAX_STEP_TIME = 2.0
+# ramp steps whose factors are computed at once, which bounds their memory
+STEP_BLOCK = 4096
+# an evolve whose plan is estimated past this many Chebyshev terms (matvecs)
+# is refused: over a day of work at 15 qubits
+MAX_PLAN_TERMS = 1e8
 # a Chebyshev series stops once two consecutive Bessel coefficients are this small
 BESSEL_TAIL = 1e-15
 # amplitude bytes the evolve memo may hold: 4 states at 20 qubits, 4096 at 10
@@ -182,6 +201,61 @@ def _evolve_key(state, path, sched, diag, accuracy, time_scale) -> bytes:
     return h.digest()
 
 
+def _plan(path, sched, diag, accuracy, time_scale) -> list[int]:
+    """Step count of each segment: 1 for a pause, else the fewest equal steps
+    at most `accuracy` wide in s and MAX_STEP_TIME long. Counted in floats
+    and refused before anything is allocated when the estimated series length
+    (two terms per exponential plus alpha, from the table's largest a and b)
+    passes MAX_PLAN_TERMS."""
+    dmin, dmax = diag.bounds
+    radius = float(0.5 * sched.a_vals.max() * (dmax - dmin) + sched.b_vals.max() * diag.n_qubits)
+    plan, terms = [], 0.0
+    for t0, t1, s0, s1 in path.segments():
+        duration = (t1 - t0) * time_scale
+        steps = 1.0 if s0 == s1 else float(max(1.0, np.ceil(abs(s1 - s0) / accuracy),
+                                               np.ceil(duration / MAX_STEP_TIME)))
+        plan.append(steps)
+        terms += (2.0 if s0 == s1 else 4.0) * steps + radius * duration
+    if not terms <= MAX_PLAN_TERMS:
+        raise ValueError(f"evolve would need over {MAX_PLAN_TERMS:.0e} Chebyshev terms: "
+                         f"lower time_scale ({time_scale:g}) or raise accuracy ({accuracy:g})")
+    return [int(steps) for steps in plan]
+
+
+def _factors(sched: Schedule, s0: float, s1: float, steps: int):
+    """(a, b) of each exponential of one segment, in the order applied: a
+    pause's H(s0), or the two CF4:2 factors (B0/2 - 2 B1, then B0/2 + 2 B1)
+    of each of the `steps` equal ramp steps from s0 to s1.
+
+    In step units u, step j spans [j, j + 1], and a and b are linear in u on
+    each piece between the integers and the schedule rows. A piece of width w
+    with midpoint m and end values f0, f1 adds w (f0 + f1)/2 to its step's
+    B0 = int f du, and w (m - j - 1/2)(f0 + f1)/2 + w^2 (f1 - f0)/12 to its
+    B1 = int (u - j - 1/2) f du. Steps are taken STEP_BLOCK at a time."""
+    if s0 == s1:
+        yield float(sched.a(s0)), float(sched.b(s0))
+        return
+    rows = (sched.s_grid - s0) * (steps / (s1 - s0))
+    for j0 in range(0, steps, STEP_BLOCK):
+        j1 = min(steps, j0 + STEP_BLOCK)
+        knots = np.union1d(np.arange(j0, j1 + 1.0), rows[(rows > j0) & (rows < j1)])
+        width = np.diff(knots)
+        mid = 0.5 * (knots[1:] + knots[:-1])
+        # the step each piece lies in; a row an ulp below j1 makes a piece
+        # whose midpoint can round up to j1
+        owner = np.minimum(mid.astype(np.intp), j1 - 1) - j0
+        offset = mid - (owner + j0 + 0.5)
+        s = s0 + (s1 - s0) * (knots / steps)
+        pair = []
+        for vals in (sched.a_vals, sched.b_vals):
+            f = np.interp(s, sched.s_grid, vals)
+            fmid = 0.5 * (f[1:] + f[:-1])
+            b0 = np.bincount(owner, width * fmid, j1 - j0)
+            b1 = np.bincount(owner, width * (offset * fmid + width * np.diff(f) / 12.0), j1 - j0)
+            pair.append(np.column_stack([0.5 * b0 - 2.0 * b1, 0.5 * b0 + 2.0 * b1]).ravel())
+        yield from zip(pair[0].tolist(), pair[1].tolist())
+
+
 def evolve(
     state: QuantumState,
     path: AnnealPath,
@@ -198,6 +272,7 @@ def evolve(
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
     check_time_scale(time_scale, path.total_time)
+    plan = _plan(path, sched, diag, accuracy, time_scale)
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
     final = _MEMO.get(key)
     if final is not None:
@@ -206,16 +281,11 @@ def evolve(
     n = diag.n_qubits
     psi = state.amplitudes
     drift_total = 0.0
-    for t0, t1, s0, s1 in path.segments():
-        steps = 1 if s0 == s1 else max(1, math.ceil(abs(s1 - s0) / accuracy))
+    for (t0, t1, s0, s1), steps in zip(path.segments(), plan):
         dt = (t1 - t0) * time_scale / steps
-        for j in range(steps):
-            smid = s0 + (j + 0.5) * (s1 - s0) / steps
-            a = float(sched.a(smid))
-            b = float(sched.b(smid))
-            lo = a * dmin - b * n
-            hi = a * dmax + b * n
-            psi = _chebyshev_exp(diag.values, a, b, lo, hi, psi, dt)
+        for a, b in _factors(sched, s0, s1, steps):
+            lo, hi = sorted((a * dmin, a * dmax))
+            psi = _chebyshev_exp(diag.values, a, b, lo - abs(b) * n, hi + abs(b) * n, psi, dt)
         norm = float(np.linalg.norm(psi))
         drift = abs(norm - 1.0)
         if drift > DRIFT_BOUND:
@@ -242,14 +312,18 @@ def check_time_scale(time_scale, span: float) -> None:
         raise ValueError(f"time_scale must be positive and finite, got {time_scale} (times {span:g})")
 
 
-def sample(state: QuantumState, shots: int, seed) -> list[str]:
-    """Born-rule draws, i.i.d., deterministic per seed."""
+def _draw(state: QuantumState, shots: int, seed) -> list[int]:
+    """Basis indices of Born-rule draws, i.i.d., deterministic per seed."""
     check_shots(shots)
     rng = np.random.default_rng(seed)
     p = state.probabilities()
     p /= p.sum()
-    idx = rng.choice(p.size, size=shots, p=p)
-    return [index_to_bits(int(i), state.n_qubits) for i in idx]
+    return rng.choice(p.size, size=shots, p=p).tolist()
+
+
+def sample(state: QuantumState, shots: int, seed) -> list[str]:
+    """Born-rule draws, i.i.d., deterministic per seed."""
+    return [index_to_bits(i, state.n_qubits) for i in _draw(state, shots, seed)]
 
 
 def anneal(
@@ -268,5 +342,5 @@ def anneal(
     check_shots(shots)
     start = driver_ground(diag.n_qubits) if initial is None else basis_state(initial)
     final = evolve(start, path, sched, diag, time_scale=time_scale)
-    return [Sample(bits, float(diag.values[bits_to_index(bits)]))
-            for bits in sample(final, shots, seed)]
+    return [Sample(index_to_bits(i, diag.n_qubits), float(diag.values[i]))
+            for i in _draw(final, shots, seed)]

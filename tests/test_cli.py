@@ -150,6 +150,17 @@ def test_anneal_rejects_bad_values_before_writing(tmp_path, p5_file, capsys, fla
     assert not out.exists()
 
 
+def test_statevector_anneal_refuses_a_plan_it_cannot_finish(tmp_path, p5_file, capsys):
+    # finite times total_time, but far past the Chebyshev terms an evolve may take
+    out = tmp_path / "run"
+    code, stdout, err = run(["anneal", "--graph", p5_file, "--k", 2, "--backend", "statevector",
+                             "--forward-time-scale", "1e306", "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: evolve would need over 1e+08 Chebyshev terms")
+    assert "lower time_scale (1e+306)" in err
+    assert not out.exists()
+
+
 def test_anneal_writes_record_and_reports_outcome(tmp_path, p5_file, capsys):
     out = tmp_path / "run"
     code, stdout, _ = run(["anneal", "--graph", p5_file, "--k", 2,

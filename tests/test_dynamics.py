@@ -25,7 +25,13 @@ from annealab.dynamics import (
 )
 from annealab.experiments import ExperimentConfig, instance
 from annealab.graphs import Graph, path_graph
-from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
+from annealab.schedules import (
+    AnnealPath,
+    make_forward_path,
+    make_reverse_path,
+    resolve_schedule,
+    reverse_distance_grid,
+)
 from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
 from oracles import (
     SPECIAL_ENTRIES,
@@ -34,6 +40,7 @@ from oracles import (
     assert_same_bytes,
     complete_graph,
     energy_expectation,
+    evolve_midpoint,
     reversed_path,
 )
 
@@ -384,9 +391,102 @@ def _guard_evolve(**kw):
     (lambda: evolve(driver_ground(5), make_forward_path(100.0), resolve_schedule("linear"),
                     p5_diag(1), time_scale=1e308),
      r"time_scale must be positive and finite, got 1e\+308 \(times 100\)"),
+    (lambda: _guard_evolve(accuracy=1e-12),
+     r"over 1e\+08 Chebyshev terms: lower time_scale \(1\) or raise accuracy \(1e-12\)"),
     (lambda: basis_state("2020"), "bits must be 0s and 1s, got '2020'"),
 ], ids=["sample-shots", "driver-ground", "state-length", "evolve-accuracy-nan",
-        "evolve-time-scale-nan", "evolve-time-scale-overflow", "basis-state-digit-2"])
+        "evolve-time-scale-nan", "evolve-time-scale-overflow", "evolve-accuracy-tiny",
+        "basis-state-digit-2"])
 def test_dynamics_refuses_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _tv(x, y) -> float:
+    return 0.5 * float(np.abs(x.probabilities() - y.probabilities()).sum())
+
+
+def _sweep_problem():
+    return build_problem_diagonal(instance(ExperimentConfig(n_vertices=3, count=1, k=2), 0))
+
+
+@pytest.mark.parametrize("schedule", ["linear", "steep"])
+def test_cf4_is_at_least_as_accurate_as_the_midpoint_rule(schedule):
+    # the 6-qubit sweep problem: a slow forward and a reverse at every s' of
+    # the grid, both rules against the midpoint rule at accuracy 1e-4
+    diag, sched = _sweep_problem(), resolve_schedule(schedule)
+    seed = basis_state(index_to_bits(int(np.argmin(diag.values)), 6))
+    runs = [(driver_ground(6), make_forward_path(100.0), SLOW_TIME_SCALE)]
+    runs += [(seed, make_reverse_path(sp, 100.0), 1.0) for sp in reverse_distance_grid()]
+    for start, path, ts in runs:
+        want = evolve_midpoint(start, path, sched, diag, accuracy=1e-4, time_scale=ts)
+        cf4 = _tv(evolve(start, path, sched, diag, time_scale=ts), want)
+        midpoint = _tv(evolve_midpoint(start, path, sched, diag, time_scale=ts), want)
+        assert cf4 <= midpoint, (path.svals.min(), cf4, midpoint)
+
+
+@pytest.mark.parametrize("schedule", ["linear", "steep"])
+def test_halving_accuracy_cuts_the_error_at_least_tenfold(schedule):
+    # fourth order (sixteenfold) across steep's rows: its kinks sit inside the
+    # 0.05-wide steps, and the exact moments see them (H at the Gauss points
+    # would not)
+    diag, sched, path = _sweep_problem(), resolve_schedule(schedule), make_forward_path(5.0)
+    want = evolve(driver_ground(6), path, sched, diag, accuracy=0.05 / 32)
+    coarse, fine = (_tv(evolve(driver_ground(6), path, sched, diag, accuracy=acc), want)
+                    for acc in (0.05, 0.025))
+    assert 1e-8 < fine and coarse >= 10 * fine
+
+
+def test_every_ramp_step_makes_two_factors(monkeypatch):
+    # at many s' a step boundary lands within an ulp of one of steep's rows
+    # (s' 0.31 at the default accuracy), where the sliver between them can
+    # round onto the next step; taking the steps in blocks of 3 gives the same
+    # factors
+    sched = resolve_schedule("steep")
+    ramps = [(s0, s1) for sp in np.round(np.arange(0.01, 1.0, 0.01), 2)
+             for _, _, s0, s1 in make_reverse_path(float(sp), 100.0).segments() if s0 != s1]
+    for accuracy in (0.01, 0.005, 0.002):
+        for s0, s1 in ramps:
+            steps = math.ceil(abs(s1 - s0) / accuracy)
+            assert len(list(dynamics._factors(sched, s0, s1, steps))) == 2 * steps
+    whole = [list(dynamics._factors(sched, s0, s1, 57)) for s0, s1 in ramps[:20]]
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 3)
+    assert [list(dynamics._factors(sched, s0, s1, 57)) for s0, s1 in ramps[:20]] == whole
+
+
+@pytest.mark.parametrize("path", [make_forward_path(20.0), make_reverse_path(0.44, 20.0)],
+                         ids=["forward", "reverse"])
+def test_mirrored_path_gives_the_transposed_propagator(path):
+    # every factor is real symmetric, and the mirrored path applies them in
+    # reverse order, so <x|U|y> = <y|U_mirror|x>
+    diag, sched = _sweep_problem(), resolve_schedule("steep")
+    mirror = reversed_path(path)
+    for x, y in [("100110", "011001"), ("000000", "111111"), ("010101", "010101")]:
+        forward = evolve(basis_state(y), path, sched, diag).amplitudes[bits_to_index(x)]
+        back = evolve(basis_state(x), mirror, sched, diag).amplitudes[bits_to_index(y)]
+        assert abs(abs(forward) ** 2 - abs(back) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("path", [
+    make_forward_path(100.0),
+    make_reverse_path(0.44, 100.0),
+    AnnealPath(np.array([0.0, 100.0]), np.array([0.44, 0.44])),
+], ids=["forward", "reverse", "pause"])
+def test_evolve_refuses_a_plan_it_cannot_finish(memo, monkeypatch, path):
+    # about 1e308 time units: refused before the first exponential
+    calls = []
+    monkeypatch.setattr(dynamics, "_chebyshev_exp", lambda *args: calls.append(args))
+    start = driver_ground(10) if path.kind == "forward" else basis_state("0110100101")
+    with pytest.raises(ValueError,
+                       match=r"over 1e\+08 Chebyshev terms: lower time_scale \(1e\+306\)"):
+        evolve(start, path, resolve_schedule("steep"), p5_diag(), time_scale=1e306)
+    assert calls == [] and len(memo) == 0
+
+
+def test_anneal_scores_each_draw_from_the_diagonal():
+    diag, sched = p5_diag(), resolve_schedule("steep")
+    path = make_reverse_path(0.44, 10.0)
+    out = anneal(diag, sched, path, "0110100101", shots=200, seed=4)
+    final = evolve(basis_state("0110100101"), path, sched, diag)
+    assert [s.bits for s in out] == sample(final, 200, seed=4)
+    assert all(s.energy == diag.values[bits_to_index(s.bits)] for s in out)
