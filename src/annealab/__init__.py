@@ -8,15 +8,12 @@ __version__ = "0.1.0"
 
 from .coloring_qubo import (
     IsingProblem,
-    OneHotViolation,
     QuboProblem,
     Sample,
     bits_to_index,
     build_coloring_qubo,
-    decode,
     index_to_bits,
     qubo_to_ising,
-    validate,
 )
 from .dynamics import (
     QuantumState,
@@ -30,7 +27,6 @@ from .graphs import (
     Graph,
     generate_er,
     greedy_color_largest_first,
-    is_proper_coloring,
     path_graph,
 )
 from .heuristic import (

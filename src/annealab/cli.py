@@ -184,7 +184,7 @@ def cli_entry(argv) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (OSError, ValueError, SpectrumError) as e:  # ConfigError, ScheduleError too
+    except (OSError, ValueError, SpectrumError, MemoryError) as e:  # ConfigError, ScheduleError too
         print(f"error: {e}", file=sys.stderr)
         return 1
 

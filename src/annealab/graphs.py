@@ -132,8 +132,3 @@ def greedy_color_largest_first(g: Graph) -> tuple[int, dict[int, int]]:
     k = max(coloring.values()) + 1 if coloring else 1
     return k, coloring
 
-
-def is_proper_coloring(g: Graph, coloring: dict[int, int]) -> bool:
-    if set(coloring) != set(range(g.n_vertices)):
-        return False
-    return all(coloring[u] != coloring[v] for u, v in g.edges)

@@ -52,13 +52,15 @@ class SvmcBackend:
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
         dynamics.check_shots(shots)
+        sweeps = self._sweeps(time_scale)
+        svmc.check_sweeps(problem.n_vars, path, sweeps, time_scale and (
+            f"time_scale ({time_scale:g}) or sweeps_per_waypoint ({self.sweeps_per_waypoint})"))
         # every shot is an independent trajectory on its own child stream
         ising = qubo_to_ising(problem)
         return [
             svmc.svmc_run(
-                ising, sched, path, initial=initial,
-                sweeps_per_waypoint=self._sweeps(time_scale), beta=self.beta,
-                seed=child,
+                ising, sched, path, initial=initial, sweeps_per_waypoint=sweeps,
+                beta=self.beta, seed=child,
             )
             for child in np.random.SeedSequence(seed).spawn(shots)
         ]

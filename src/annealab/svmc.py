@@ -17,8 +17,8 @@ order in which it consumes the generator's doubles u. Sweep by sweep, it
 takes n proposal doubles (spin 0 to n-1), then n acceptance doubles. The
 proposed angle of spin i is pi * u, and the move is accepted when the
 energy change is not positive or the acceptance double is below
-exp(-beta * dE). Drawing many sweeps in one block keeps this order, so the
-block size does not change any output.
+exp(-beta * dE). Drawing many sweeps, and their schedule weights, in one
+block keeps this order, so the block size does not change any output.
 """
 
 import math
@@ -32,6 +32,18 @@ DEFAULT_BETA = 10.0
 DEFAULT_SWEEPS_PER_WAYPOINT = 1000
 # sweeps whose random numbers are drawn in one block; bounds the block's memory
 _SWEEP_BLOCK = 256
+# a trajectory past this many spin updates (sweeps times spins) is refused:
+# over a day of work at the ~0.4 us an update measured on a 2-core VM
+MAX_SPIN_UPDATES = 3e11
+
+
+def check_sweeps(n_spins: int, path: AnnealPath, sweeps_per_waypoint: int, setting=None):
+    """The one sweep-count rule, before any draw; a refusal names `setting` if given."""
+    if sweeps_per_waypoint < 1:
+        raise ValueError(f"need sweeps_per_waypoint >= 1, got {sweeps_per_waypoint}")
+    if sweeps_per_waypoint * len(path.times) * n_spins > MAX_SPIN_UPDATES:
+        raise ValueError(f"SVMC trajectory would need over {MAX_SPIN_UPDATES:.0e} spin updates: "
+                         f"lower {setting or f'sweeps_per_waypoint ({sweeps_per_waypoint})'}")
 
 
 def svmc_run(
@@ -50,8 +62,7 @@ def svmc_run(
     into sweeps_per_waypoint * n_waypoints equal slices and each sweep
     uses the schedule weights at its slice midpoint. Deterministic per seed.
     """
-    if sweeps_per_waypoint < 1:
-        raise ValueError(f"need sweeps_per_waypoint >= 1, got {sweeps_per_waypoint}")
+    check_sweeps(ising.n_spins, path, sweeps_per_waypoint)
     if not beta > 0:  # NaN fails this test too
         raise ValueError(f"need beta > 0, got {beta}")
     n = ising.n_spins
@@ -75,18 +86,14 @@ def svmc_run(
     sin_t = np.sin(theta).tolist()
 
     total_sweeps = sweeps_per_waypoint * len(path.times)
-    mids = (np.arange(total_sweeps) + 0.5) * (path.total_time / total_sweeps)
-    s_ladder = path.s_of_t(mids)
-    a_ladder = sched.a(s_ladder).tolist()
-    b_ladder = sched.b(s_ladder).tolist()
-
     exp = math.exp
     for start in range(0, total_sweeps, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, total_sweeps)
+        s = path.s_of_t((np.arange(start, stop) + 0.5) * (path.total_time / total_sweeps))
         u = rng.random((stop - start, 2, n))
         prop = math.pi * u[:, 0, :]
         for a_s, b_s, cos_p, sin_p, accept_u in zip(
-            a_ladder[start:stop], b_ladder[start:stop],
+            sched.a(s).tolist(), sched.b(s).tolist(),
             np.cos(prop).tolist(), np.sin(prop).tolist(), u[:, 1, :].tolist(),
         ):
             for i in range(n):

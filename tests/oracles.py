@@ -72,6 +72,13 @@ def proper_onehot_encodings(g: Graph, k: int) -> set:
     return out
 
 
+def is_proper_coloring(g: Graph, coloring: dict[int, int]) -> bool:
+    """Every vertex colored, and no edge joins two vertices of one color."""
+    if set(coloring) != set(range(g.n_vertices)):
+        return False
+    return all(coloring[u] != coloring[v] for u, v in g.edges)
+
+
 def cycle_graph(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 

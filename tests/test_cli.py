@@ -161,6 +161,27 @@ def test_statevector_anneal_refuses_a_plan_it_cannot_finish(tmp_path, p5_file, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--backend", "svmc", "--forward-time-scale", "1e9"],
+     "SVMC trajectory would need over 3e+11 spin updates: "
+     "lower time_scale (1e+09) or sweeps_per_waypoint (1000)"),
+    (["--backend", "svmc", "--svmc-sweeps", 10**12],
+     "SVMC trajectory would need over 3e+11 spin updates: "
+     "lower sweeps_per_waypoint (1000000000000)"),
+    # the shot draws ask for 800 TB at once, past any 47-bit address space,
+    # so the allocation fails before anything is written into it
+    (["--backend", "statevector", "--forward-shots", 10**14], "Unable to allocate"),
+], ids=["svmc-time-scale", "svmc-sweeps", "statevector-shots"])
+def test_anneal_refuses_a_run_it_cannot_finish(tmp_path, capsys, argv, message):
+    graph, out = tmp_path / "p3.json", tmp_path / "run"
+    Graph(3, ((0, 1), (1, 2))).save(graph)
+    code, stdout, err = run(["anneal", "--graph", graph, "--k", 2, "--max-cycles", 1, *argv,
+                             "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_anneal_writes_record_and_reports_outcome(tmp_path, p5_file, capsys):
     out = tmp_path / "run"
     code, stdout, _ = run(["anneal", "--graph", p5_file, "--k", 2,

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from annealab.coloring_qubo import (
     IsingProblem,
-    OneHotViolation,
     QuboProblem,
     Sample,
     bits_to_array,
     bits_to_index,
     build_coloring_qubo,
-    decode,
     index_to_bits,
     qubo_to_ising,
     validate,
@@ -160,20 +158,16 @@ def test_ising_single_variable():
     assert ising.energy([1.0]) == pytest.approx(0.0)
 
 
-def test_decode_and_validate():
+def test_validate_checks_one_hot_blocks_and_edges():
     g = path_graph(3)
     q = build_coloring_qubo(g, 2)
-    assert decode(q, "100110") == {0: 0, 1: 1, 2: 0}
     assert validate(q, "100110")
-    # monochromatic edge: decodes but is not proper
-    assert decode(q, "101010") == {0: 0, 1: 0, 2: 0}
+    # one-hot, but a monochromatic edge
     assert not validate(q, "101010")
-    # all-zeros: first violation reported at vertex 0
-    viol = decode(q, "000000")
-    assert viol == OneHotViolation(vertex=0, bits_set=0)
+    # no bit set at any vertex
+    assert not validate(q, "000000")
     # two bits set for vertex 1
-    viol = decode(q, "101100")
-    assert isinstance(viol, OneHotViolation) and viol.vertex == 1 and viol.bits_set == 2
+    assert not validate(q, "101100")
     assert not validate(q, "110110")
 
 
@@ -225,14 +219,15 @@ def test_guards():
     (lambda: QuboProblem(2, q=((0, 1, 1.0), (0, 1, 2.0))), r"duplicate entry \(0, 1\)"),
     (lambda: IsingProblem(2, (0.0, 0.0), ((1, 0, 1.0),)),
      r"coupling \(1, 0\) must satisfy 0 <= i < j < n_spins"),
-    (lambda: decode(QuboProblem(2), "01"), "QUBO has no variable map"),
+    (lambda: validate(replace(build_coloring_qubo(path_graph(2), 2), var_map=()), "0110"),
+     "QUBO has no variable map"),
     (lambda: build_coloring_qubo(path_graph(3), 2, penalty=float("nan")),
      "penalty must be positive and finite, got nan"),
     (lambda: build_coloring_qubo(path_graph(2), 2).energy("2020"),
      "bits must be 0s and 1s, got '2020'"),
     (lambda: build_coloring_qubo(path_graph(2), 2).energy([0.5] * 4),
      r"bits must be 0s and 1s, got \[0.5, 0.5, 0.5, 0.5\]"),
-    (lambda: decode(build_coloring_qubo(path_graph(2), 2), "2020"),
+    (lambda: validate(build_coloring_qubo(path_graph(2), 2), "2020"),
      "bits must be 0s and 1s, got '2020'"),
     (lambda: validate(build_coloring_qubo(path_graph(2), 2), np.array([0, 1, 2, 0])),
      r"bits must be 0s and 1s, got array\(\[0, 1, 2, 0\]\)"),
@@ -241,8 +236,8 @@ def test_guards():
     (lambda: bits_to_array("0 10"), "bits must be 0s and 1s, got '0 10'"),
     (lambda: bits_to_index("2020"), "bits must be 0s and 1s, got '2020'"),
     (lambda: bits_to_index([0.5, 1]), r"bits must be 0s and 1s, got \[0.5, 1\]"),
-], ids=["no-variables", "duplicate-entry", "coupling-order", "decode-without-map",
-        "penalty-nan", "energy-digit-2", "energy-fraction", "decode-digit-2",
+], ids=["no-variables", "duplicate-entry", "coupling-order", "validate-without-map",
+        "penalty-nan", "energy-digit-2", "energy-fraction", "validate-digit-2",
         "validate-array-2", "validate-no-source-letter", "bits-space", "index-digit-2",
         "index-fraction"])
 def test_problems_refuse_bad_arguments(call, match):

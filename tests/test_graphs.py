@@ -7,10 +7,9 @@ from annealab.graphs import (
     automorphisms,
     generate_er,
     greedy_color_largest_first,
-    is_proper_coloring,
     path_graph,
 )
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, is_proper_coloring
 
 
 def test_edges_canonicalized():

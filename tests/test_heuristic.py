@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from annealab.coloring_qubo import Sample, build_coloring_qubo, index_to_bits, validate
-from annealab import dynamics
+from annealab import dynamics, svmc
 from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
 from annealab.graphs import Graph, path_graph
 from annealab.heuristic import (
@@ -396,3 +396,24 @@ def test_statevector_backend_refuses_shots_before_evolving(monkeypatch, shots):
     with pytest.raises(ValueError, match=f"need shots >= 1, got {shots}"):
         StatevectorBackend().reverse(P5, sched, make_reverse_path(0.44, 1.0), "0" * P5.n_vars,
                                      shots=shots, seed=0)
+
+
+@pytest.mark.parametrize("stage", ["forward", "reverse"])
+@pytest.mark.parametrize("backend, time_scale, named", [
+    (SvmcBackend(), 1e9, r"time_scale \(1e\+09\) or sweeps_per_waypoint \(1000\)"),
+    (SvmcBackend(10**12), None, r"sweeps_per_waypoint \(1000000000000\)"),
+], ids=["stretched", "sweeps"])
+def test_svmc_backend_refuses_a_trajectory_before_any_draw(monkeypatch, stage, backend,
+                                                          time_scale, named):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran a trajectory before refusing it")
+
+    monkeypatch.setattr(svmc, "svmc_run", unreachable)
+    sched = resolve_schedule("steep")
+    with pytest.raises(ValueError, match="^SVMC trajectory would need over 3e\\+11 spin "
+                                         f"updates: lower {named}$"):
+        if stage == "forward":
+            backend.forward(P3, sched, total_time=100.0, shots=1, seed=0, time_scale=time_scale)
+        else:
+            backend.reverse(P3, sched, make_reverse_path(0.44, 100.0), "100110", shots=1, seed=0,
+                            time_scale=time_scale)

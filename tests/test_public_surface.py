@@ -8,15 +8,14 @@ from pathlib import Path
 import annealab
 
 EXPORTS = {
-    "AnnealPath", "CycleRecord", "Graph", "IsingProblem", "OneHotViolation",
-    "ProblemDiagonal", "QuantumState", "QuboProblem", "RunRecord", "Sample", "Schedule",
-    "SpectrumTable", "StatevectorBackend", "SvmcBackend", "__version__", "anneal",
-    "assisted_reverse_anneal", "basis_state", "bits_to_index", "build_coloring_qubo",
-    "build_problem_diagonal", "decode", "driver_ground", "evolve", "generate_er",
-    "greedy_color_largest_first", "index_to_bits", "is_proper_coloring",
-    "lowest_eigenvalues", "make_forward_path", "make_reverse_path", "min_gap", "path_graph",
-    "qubo_to_ising", "resolve_schedule", "reverse_distance_grid", "sample", "select_initial",
-    "spectrum_sweep", "svmc_run", "validate",
+    "AnnealPath", "CycleRecord", "Graph", "IsingProblem", "ProblemDiagonal", "QuantumState",
+    "QuboProblem", "RunRecord", "Sample", "Schedule", "SpectrumTable", "StatevectorBackend",
+    "SvmcBackend", "__version__", "anneal", "assisted_reverse_anneal", "basis_state",
+    "bits_to_index", "build_coloring_qubo", "build_problem_diagonal", "driver_ground", "evolve",
+    "generate_er", "greedy_color_largest_first", "index_to_bits", "lowest_eigenvalues",
+    "make_forward_path", "make_reverse_path", "min_gap", "path_graph", "qubo_to_ising",
+    "resolve_schedule", "reverse_distance_grid", "sample", "select_initial", "spectrum_sweep",
+    "svmc_run",
 }
 
 # module -> names perfbench/ imports, calls or wraps there

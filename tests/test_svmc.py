@@ -19,7 +19,14 @@ from annealab.dynamics import anneal
 from annealab.graphs import path_graph
 from annealab.schedules import AnnealPath, make_forward_path, make_reverse_path, resolve_schedule
 from annealab.spectrum import build_problem_diagonal
-from annealab.svmc import _SWEEP_BLOCK, DEFAULT_BETA, DEFAULT_SWEEPS_PER_WAYPOINT, svmc_run
+from annealab.svmc import (
+    _SWEEP_BLOCK,
+    DEFAULT_BETA,
+    DEFAULT_SWEEPS_PER_WAYPOINT,
+    MAX_SPIN_UPDATES,
+    check_sweeps,
+    svmc_run,
+)
 from oracles import brute_force_solve
 
 
@@ -229,3 +236,23 @@ def test_svmc_run_refuses_zero_sweeps():
     ising = qubo_to_ising(build_coloring_qubo(path_graph(2), 2))
     with pytest.raises(ValueError, match="need sweeps_per_waypoint >= 1, got 0"):
         svmc_run(ising, resolve_schedule("linear"), make_forward_path(1.0), sweeps_per_waypoint=0)
+
+
+def test_svmc_run_refuses_a_trajectory_it_cannot_finish(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before refusing the trajectory")
+
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
+    ising = qubo_to_ising(build_coloring_qubo(path_graph(3), 2))
+    with pytest.raises(ValueError, match=r"^SVMC trajectory would need over 3e\+11 spin updates: "
+                                         r"lower sweeps_per_waypoint \(1000000000000\)$"):
+        svmc_run(ising, resolve_schedule("linear"), make_forward_path(1.0),
+                 sweeps_per_waypoint=10**12)
+
+
+def test_trajectory_length_bound_is_inclusive():
+    # one spin on a two-waypoint path: sweeps_per_waypoint * 2 spin updates
+    path = make_forward_path(1.0)
+    check_sweeps(1, path, int(MAX_SPIN_UPDATES) // 2)
+    with pytest.raises(ValueError, match=r"lower time_scale \(2\)$"):
+        check_sweeps(1, path, int(MAX_SPIN_UPDATES) // 2 + 1, "time_scale (2)")
