@@ -162,29 +162,18 @@ def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):
     return np.multiply(np.exp(-1j * center * dt), acc, out=acc)
 
 
-class _Memo:
+class _Memo(OrderedDict):
     """LRU of evolve's final states by input digest, bounded by MEMO_BYTES.
     One per process (`_MEMO`), shared by every caller of evolve."""
 
-    def __init__(self):
-        self._states: OrderedDict[bytes, QuantumState] = OrderedDict()
-        self.nbytes = 0
-
-    def get(self, key: bytes) -> QuantumState | None:
-        state = self._states.get(key)
-        if state is not None:
-            self._states.move_to_end(key)
-        return state
+    nbytes = 0
 
     def put(self, key: bytes, state: QuantumState) -> None:
-        self._states[key] = state
+        self[key] = state
         self.nbytes += state.amplitudes.nbytes
         while self.nbytes > MEMO_BYTES:
-            _, old = self._states.popitem(last=False)
+            _, old = self.popitem(last=False)
             self.nbytes -= old.amplitudes.nbytes
-
-    def __len__(self) -> int:
-        return len(self._states)
 
 
 _MEMO = _Memo()
@@ -201,25 +190,28 @@ def _evolve_key(state, path, sched, diag, accuracy, time_scale) -> bytes:
     return h.digest()
 
 
-def _plan(path, sched, diag, accuracy, time_scale) -> list[int]:
+def plan(path, sched, diag, accuracy, time_scale) -> list[int]:
     """Step count of each segment: 1 for a pause, else the fewest equal steps
-    at most `accuracy` wide in s and MAX_STEP_TIME long. Counted in floats
-    and refused before anything is allocated when the estimated series length
-    (two terms per exponential plus alpha, from the table's largest a and b)
-    passes MAX_PLAN_TERMS."""
+    at most `accuracy` wide in s and MAX_STEP_TIME long. Before anything is
+    allocated it refuses a bad accuracy or time scale, and an estimated series
+    length (two terms per exponential plus alpha, from the table's largest a
+    and b, counted in floats) past MAX_PLAN_TERMS."""
+    if not 0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
+    check_time_scale(time_scale, path.total_time)
     dmin, dmax = diag.bounds
     radius = float(0.5 * sched.a_vals.max() * (dmax - dmin) + sched.b_vals.max() * diag.n_qubits)
-    plan, terms = [], 0.0
+    counts, terms = [], 0.0
     for t0, t1, s0, s1 in path.segments():
         duration = (t1 - t0) * time_scale
         steps = 1.0 if s0 == s1 else float(max(1.0, np.ceil(abs(s1 - s0) / accuracy),
                                                np.ceil(duration / MAX_STEP_TIME)))
-        plan.append(steps)
+        counts.append(steps)
         terms += (2.0 if s0 == s1 else 4.0) * steps + radius * duration
     if not terms <= MAX_PLAN_TERMS:
         raise ValueError(f"evolve would need over {MAX_PLAN_TERMS:.0e} Chebyshev terms: "
                          f"lower time_scale ({time_scale:g}) or raise accuracy ({accuracy:g})")
-    return [int(steps) for steps in plan]
+    return [int(steps) for steps in counts]
 
 
 def _factors(sched: Schedule, s0: float, s1: float, steps: int):
@@ -266,22 +258,19 @@ def evolve(
 ) -> QuantumState:
     """Propagate along the path. Deterministic; returns a read-only unit state
     whose norm_drift field reports the accumulated pre-renormalization drift.
-    Equal inputs return the memoized state of the first call."""
+    Equal inputs return the first call's memoized state without replanning."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
-    if not 0 < accuracy < math.inf:
-        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
-    check_time_scale(time_scale, path.total_time)
-    plan = _plan(path, sched, diag, accuracy, time_scale)
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
-    final = _MEMO.get(key)
-    if final is not None:
-        return final
+    if key in _MEMO:
+        _MEMO.move_to_end(key)
+        return _MEMO[key]
+    steps_per_segment = plan(path, sched, diag, accuracy, time_scale)
     dmin, dmax = diag.bounds
     n = diag.n_qubits
     psi = state.amplitudes
     drift_total = 0.0
-    for (t0, t1, s0, s1), steps in zip(path.segments(), plan):
+    for (t0, t1, s0, s1), steps in zip(path.segments(), steps_per_segment):
         dt = (t1 - t0) * time_scale / steps
         for a, b in _factors(sched, s0, s1, steps):
             lo, hi = sorted((a * dmin, a * dmax))

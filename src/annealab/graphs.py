@@ -42,10 +42,6 @@ class Graph:
             canonical.append(e)
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n_vertices
         for u, v in self.edges:

@@ -44,17 +44,19 @@ class SvmcBackend:
     sweeps_per_waypoint: int = svmc.DEFAULT_SWEEPS_PER_WAYPOINT
     beta: float = svmc.DEFAULT_BETA
 
-    def _sweeps(self, time_scale) -> int:
+    def check(self, problem, sched, path, time_scale) -> int:
+        """Everything a stage on `path` refuses before its first draw; returns
+        the sweeps per waypoint it runs with."""
         dynamics.check_time_scale(time_scale, self.sweeps_per_waypoint)
-        if time_scale is None:
-            return self.sweeps_per_waypoint
-        return max(1, round(self.sweeps_per_waypoint * time_scale))
+        sweeps = (self.sweeps_per_waypoint if time_scale is None else
+                  max(1, round(self.sweeps_per_waypoint * time_scale)))
+        svmc.check_sweeps(problem.n_vars, path, sweeps, time_scale and (
+            f"time_scale ({time_scale:g}) or sweeps_per_waypoint ({self.sweeps_per_waypoint})"))
+        return sweeps
 
     def _batch(self, problem, sched, path, initial, shots, seed, time_scale):
         dynamics.check_shots(shots)
-        sweeps = self._sweeps(time_scale)
-        svmc.check_sweeps(problem.n_vars, path, sweeps, time_scale and (
-            f"time_scale ({time_scale:g}) or sweeps_per_waypoint ({self.sweeps_per_waypoint})"))
+        sweeps = self.check(problem, sched, path, time_scale)
         # every shot is an independent trajectory on its own child stream
         ising = qubo_to_ising(problem)
         return [
@@ -81,20 +83,26 @@ class StatevectorBackend:
     # what run_problem swaps in past QUBIT_CAP
     fallback: SvmcBackend = SvmcBackend()
 
+    def check(self, problem, sched, path, time_scale):
+        """Everything a stage on `path` refuses before its first matvec;
+        returns the diagonal and the time scale, None meaning SLOW_TIME_SCALE
+        on a forward path and REVERSE_TIME_SCALE on any other."""
+        if time_scale is None:
+            time_scale = (dynamics.SLOW_TIME_SCALE if path.kind == "forward" else
+                          dynamics.REVERSE_TIME_SCALE)
+        diag = build_problem_diagonal(problem)
+        dynamics.plan(path, sched, diag, dynamics.DEFAULT_ACCURACY, time_scale)
+        return diag, time_scale
+
     def forward(self, problem, sched, total_time, shots, seed, time_scale=None):
-        """time_scale None means dynamics.SLOW_TIME_SCALE."""
-        return dynamics.anneal(
-            build_problem_diagonal(problem), sched, make_forward_path(total_time),
-            shots=shots, seed=seed,
-            time_scale=dynamics.SLOW_TIME_SCALE if time_scale is None else time_scale,
-        )
+        path = make_forward_path(total_time)
+        diag, time_scale = self.check(problem, sched, path, time_scale)
+        return dynamics.anneal(diag, sched, path, shots=shots, seed=seed, time_scale=time_scale)
 
     def reverse(self, problem, sched, path, initial, shots, seed, time_scale=None):
-        """time_scale None means dynamics.REVERSE_TIME_SCALE."""
-        return dynamics.anneal(
-            build_problem_diagonal(problem), sched, path, initial, shots=shots, seed=seed,
-            time_scale=dynamics.REVERSE_TIME_SCALE if time_scale is None else time_scale,
-        )
+        diag, time_scale = self.check(problem, sched, path, time_scale)
+        return dynamics.anneal(diag, sched, path, initial, shots=shots, seed=seed,
+                               time_scale=time_scale)
 
 
 def select_initial(samples: list[Sample], seed) -> str:
@@ -204,18 +212,22 @@ def run_problem(problem, backend, sched: Schedule, chains, *, forward_seed, sele
     chains that would start from the selection run no cycle and record
     solved-by-forward. A StatevectorBackend hands a problem past QUBIT_CAP
     to its fallback rotor sampler, and the records say so. It refuses every
-    setting before the forward stage, s' and total_time via the reverse paths.
+    setting before the forward stage: s' and total_time via the reverse
+    paths, and each stage's limits via backend.check on every path, so a
+    reverse stage that could not finish is refused even where the forward
+    stage would solve the problem.
     """
     paths = [make_reverse_path(s_prime, total_time) for s_prime, *_ in chains]
     if policy not in POLICIES:
         raise ValueError(f"unknown feeding policy {policy!r}")
     if shots_per_cycle < 1:
         raise ValueError(f"need shots_per_cycle >= 1, got {shots_per_cycle}")
-    dynamics.check_time_scale(forward_time_scale, total_time)
-    dynamics.check_time_scale(ra_time_scale, total_time)
     substituted = isinstance(backend, StatevectorBackend) and problem.n_vars > QUBIT_CAP
     if substituted:
         backend = backend.fallback
+    backend.check(problem, sched, make_forward_path(total_time), forward_time_scale)
+    for path in paths:
+        backend.check(problem, sched, path, ra_time_scale)
     fwd = backend.forward(problem, sched, total_time=total_time, shots=forward_shots,
                           seed=forward_seed, time_scale=forward_time_scale)
     summary = {"count": len(fwd), "valid_count": sum(s.valid for s in fwd),

@@ -168,10 +168,14 @@ def test_statevector_anneal_refuses_a_plan_it_cannot_finish(tmp_path, p5_file, c
     (["--backend", "svmc", "--svmc-sweeps", 10**12],
      "SVMC trajectory would need over 3e+11 spin updates: "
      "lower sweeps_per_waypoint (1000000000000)"),
+    # the forward stage solves P3, but the reverse stage could not finish
+    (["--backend", "svmc", "--forward-shots", 1, "--ra-time-scale", "1e9"],
+     "SVMC trajectory would need over 3e+11 spin updates: "
+     "lower time_scale (1e+09) or sweeps_per_waypoint (1000)\n"),
     # the shot draws ask for 800 TB at once, past any 47-bit address space,
     # so the allocation fails before anything is written into it
     (["--backend", "statevector", "--forward-shots", 10**14], "Unable to allocate"),
-], ids=["svmc-time-scale", "svmc-sweeps", "statevector-shots"])
+], ids=["svmc-time-scale", "svmc-sweeps", "svmc-ra-time-scale", "statevector-shots"])
 def test_anneal_refuses_a_run_it_cannot_finish(tmp_path, capsys, argv, message):
     graph, out = tmp_path / "p3.json", tmp_path / "run"
     Graph(3, ((0, 1), (1, 2))).save(graph)

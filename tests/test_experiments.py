@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealab import experiments, heuristic, svmc
+from annealab import dynamics, experiments, heuristic, svmc
 from annealab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -219,7 +219,7 @@ def test_scaling_seeds_carry_the_size_at_every_stage(tmp_path, monkeypatch):
 
     class Recording:  # the configured backend, recording every call's seed
         def __init__(self, inner):
-            self.inner, self.kind = inner, inner.kind
+            self.inner, self.kind, self.check = inner, inner.kind, inner.check
 
         def forward(self, problem, sched, total_time, shots, seed, time_scale=None):
             seen["forward"].append(list(seed))
@@ -375,6 +375,19 @@ def test_rejected_run_creates_no_output_directory(tmp_path, monkeypatch):
     out = tmp_path / "bad"
     with pytest.raises(ConfigError, match="ANNEALAB_WORKERS must be an integer"):
         sweep_reverse_distance(tiny_config(), out)
+    assert not out.exists()
+
+
+def test_reverse_stage_that_cannot_finish_is_refused_before_any_evolve(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evolved before refusing the reverse stage")
+
+    monkeypatch.setattr(dynamics, "evolve", unreachable)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=r"over 1e\+08 Chebyshev terms: lower time_scale "
+                                         r"\(1e\+306\)"):
+        sweep_reverse_distance(tiny_config(backend="statevector", n_vertices=3, k=2,
+                                           ra_time_scale=1e306), out)
     assert not out.exists()
 
 

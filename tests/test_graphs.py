@@ -39,7 +39,7 @@ def test_degrees_and_neighbors():
 
 
 def test_er_p_zero_and_one():
-    assert generate_er(10, 0.0, 7).n_edges == 0
+    assert len(generate_er(10, 0.0, 7).edges) == 0
     g = generate_er(6, 1.0, 7)
     assert g.edges == complete_graph(6).edges
 
@@ -55,7 +55,7 @@ def test_er_determinism():
 def test_er_density_sane():
     # mean degree should land near p*(n-1) over a few seeds
     n, p = 40, 0.3
-    total = sum(generate_er(n, p, s).n_edges for s in range(10))
+    total = sum(len(generate_er(n, p, s).edges) for s in range(10))
     expected = 10 * p * n * (n - 1) / 2
     assert 0.8 * expected < total < 1.2 * expected
 

@@ -349,29 +349,48 @@ def test_p3_forward_stage_solves_it():
     assert rec.outcome == OUTCOME_FORWARD
 
 
+# the run settings run_problem refuses, each with its message on the
+# statevector and on the rotor sampler (1000 sweeps a waypoint)
+RUN_SETTINGS = [
+    ("policy", dict(policy="bogus"), "unknown feeding policy 'bogus'", None),
+    ("shots-per-cycle", dict(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0", None),
+    ("ra-time-scale", dict(ra_time_scale=0.0), "time_scale must be positive and finite, got 0.0",
+     None),
+    ("forward-time-scale-nan", dict(forward_time_scale=math.nan),
+     "time_scale must be positive and finite, got nan", None),
+    # finite, but times the span it stretches it overflows
+    ("forward-time-scale-overflow", dict(forward_time_scale=1e308), r"got 1e\+308 \(times 100\)",
+     r"got 1e\+308 \(times 1000\)"),
+    ("ra-time-scale-overflow", dict(ra_time_scale=1e308), r"got 1e\+308 \(times 100\)",
+     r"got 1e\+308 \(times 1000\)"),
+]
+
+
 @pytest.mark.parametrize("problem", [P6_CHORD, P3], ids=["p6-chord", "p3-solved-by-forward"])
-@pytest.mark.parametrize("setting, match", [
-    (dict(policy="bogus"), "unknown feeding policy 'bogus'"),
-    (dict(shots_per_cycle=0), "need shots_per_cycle >= 1, got 0"),
-    (dict(ra_time_scale=0.0), "time_scale must be positive and finite, got 0.0"),
-    (dict(forward_time_scale=math.nan), "time_scale must be positive and finite, got nan"),
-    # finite, but times total_time it overflows
-    (dict(forward_time_scale=1e308), r"got 1e\+308 \(times 100\)"),
-    (dict(ra_time_scale=1e308), r"got 1e\+308 \(times 100\)"),
-], ids=["policy", "shots-per-cycle", "ra-time-scale", "forward-time-scale-nan",
-        "forward-time-scale-overflow", "ra-time-scale-overflow"])
-def test_assisted_refuses_bad_settings_before_the_forward_stage(monkeypatch, problem, setting,
-                                                                 match):
+@pytest.mark.parametrize("backend, setting, match", [
+    *((StatevectorBackend(), setting, match) for _, setting, match, _ in RUN_SETTINGS),
+    *((SvmcBackend(), setting, svmc_match or match)
+      for _, setting, match, svmc_match in RUN_SETTINGS),
+    # finite and within the time-scale rule, but past what the reverse stage can run
+    (StatevectorBackend(), dict(ra_time_scale=1e306),
+     r"^evolve would need over 1e\+08 Chebyshev terms: lower time_scale \(1e\+306\)"),
+    (SvmcBackend(), dict(ra_time_scale=1e9),
+     r"^SVMC trajectory would need over 3e\+11 spin updates: "
+     r"lower time_scale \(1e\+09\) or sweeps_per_waypoint \(1000\)$"),
+], ids=[*(name for name, *_ in RUN_SETTINGS), *(f"svmc-{name}" for name, *_ in RUN_SETTINGS),
+        "ra-plan-bound", "svmc-ra-trajectory-bound"])
+def test_assisted_refuses_bad_settings_before_the_forward_stage(monkeypatch, problem, backend,
+                                                                 setting, match):
     calls = []
-    forward = StatevectorBackend.forward
+    forward = type(backend).forward
 
     def spy(self, *args, **kwargs):
         calls.append(args)
         return forward(self, *args, **kwargs)
 
-    monkeypatch.setattr(StatevectorBackend, "forward", spy)
+    monkeypatch.setattr(type(backend), "forward", spy)
     with pytest.raises(ValueError, match=match):
-        assisted_reverse_anneal(problem, StatevectorBackend(), resolve_schedule("steep"),
+        assisted_reverse_anneal(problem, backend, resolve_schedule("steep"),
                                 **ASSISTED | setting)
     assert calls == []
 
