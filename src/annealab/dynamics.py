@@ -19,12 +19,16 @@ rounding. Time is dimensionless: physical duration = waypoint time *
 time_scale. Before any work, evolve refuses a plan whose estimated series
 length passes MAX_PLAN_TERMS.
 
-Each exponential is a Chebyshev polynomial expansion of exp(-i H dt), exact
-to series truncation (~1e-15). A series with argument alpha = (spectral
-radius) * dt keeps n terms, n the smallest count >= max(2, floor(alpha)) at
-which both |J_n(alpha)| and |J_{n-1}(alpha)| are below 1e-15: past alpha the
-Bessel coefficients decay faster than exponentially, so the tail they bound
-is negligible (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+Each exponential is a Chebyshev polynomial expansion of exp(-i H dt)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): with H' the Hamiltonian
+shifted and scaled to spectrum [-1, 1] and alpha = (spectral radius) * dt,
+the order-k term is 2 (-i)^k J_k(alpha) T_k(H') psi (half that at k = 0). A
+series keeps J_0 .. J_m, m the smallest order >= max(1, floor(alpha)) whose
+dropped tail 2 sum_{k>m} |J_k(alpha)| is at most BESSEL_TAIL (1e-15). Every
+|T_k(H') psi| <= 1, so that tail bounds the exponential's truncation error in
+the 2-norm, and the factors after it are unitary, so one evolve's truncation
+sums to at most (number of exponentials) * 1e-15. Past alpha the Bessel
+coefficients decay faster than exponentially, so m is a few orders past alpha.
 
 The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
 norm drifts past DRIFT_BOUND raises IntegratorError instead of being
@@ -65,7 +69,7 @@ STEP_BLOCK = 4096
 # an evolve whose plan is estimated past this many Chebyshev terms (matvecs)
 # is refused: over a day of work at 15 qubits
 MAX_PLAN_TERMS = 1e8
-# a Chebyshev series stops once two consecutive Bessel coefficients are this small
+# a Chebyshev series stops once the Bessel coefficients it drops sum (times 2) to at most this
 BESSEL_TAIL = 1e-15
 # amplitude bytes the evolve memo may hold: 4 states at 20 qubits, 4096 at 10
 MEMO_BYTES = 64 << 20
@@ -110,17 +114,20 @@ def basis_state(bits) -> QuantumState:
 
 
 def _bessel_series(alpha: float) -> np.ndarray:
-    """J_0(alpha) .. J_n(alpha), n the smallest order >= max(2, floor(alpha))
-    with |J_n(alpha)| and |J_{n-1}(alpha)| both <= BESSEL_TAIL. Orders are
-    evaluated 32 at a time past floor(alpha) until that n is found."""
-    first = max(2, int(alpha))
+    """J_0(alpha) .. J_m(alpha), m the smallest order >= max(1, floor(alpha))
+    whose dropped tail 2 sum_{k>m} |J_k(alpha)| is <= BESSEL_TAIL. Orders are
+    evaluated 32 at a time past floor(alpha) until the last one is below
+    2^-52 BESSEL_TAIL; past alpha they decay faster than geometrically, so the
+    orders never evaluated cannot move the tail sums."""
+    first = max(1, int(alpha))
     bessel = jv(np.arange(first + 32), alpha)
-    while True:
-        small = np.abs(bessel[first - 1:]) <= BESSEL_TAIL
-        both = small[1:] & small[:-1]  # both[i]: orders first + i - 1 and first + i
-        if both.any():
-            return bessel[:first + int(np.argmax(both)) + 1]
+    while abs(bessel[-1]) > BESSEL_TAIL * 2.0**-52:
         bessel = np.concatenate([bessel, jv(np.arange(bessel.size, bessel.size + 32), alpha)])
+    # tails[j] = sum of |J_k| over the j + 1 highest orders evaluated, smallest
+    # first; it never decreases with j, so the orders that can be dropped are
+    # the number of entries within the bound
+    tails = np.abs(bessel[:first:-1]).cumsum()
+    return bessel[:bessel.size - int(np.count_nonzero(2.0 * tails <= BESSEL_TAIL))]
 
 
 def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):

@@ -63,8 +63,10 @@ class ProblemDiagonal:
         if q.n_vars > QUBIT_CAP:
             raise ValueError(f"diagonal construction capped at {QUBIT_CAP} qubits, got {q.n_vars}")
         r = np.arange(1 << q.n_vars, dtype=np.uint32)
+        values = q.energy_sum(lambda i: (r >> i) & 1)
+        values.flags.writeable = False  # one diagonal may serve every caller of its problem
         # derived, so not fields; written past the frozen class's __setattr__
-        self.__dict__.update(n_qubits=q.n_vars, values=q.energy_sum(lambda i: (r >> i) & 1))
+        self.__dict__.update(n_qubits=q.n_vars, values=values)
 
     @cached_property
     def bounds(self) -> tuple[float, float]:
@@ -137,9 +139,17 @@ class ProblemDiagonal:
         return tuple(sectors)
 
 
+_last_diagonal: ProblemDiagonal | None = None
+
+
 def build_problem_diagonal(q: QuboProblem) -> ProblemDiagonal:
-    """The diagonal of q: QuboProblem.energy(x) for every basis state x."""
-    return ProblemDiagonal(q)
+    """The diagonal of q: QuboProblem.energy(x) for every basis state x. The
+    last diagonal built is returned again while q is the same object, so a
+    run's stage checks and samplers tabulate their problem once."""
+    global _last_diagonal
+    if _last_diagonal is None or _last_diagonal.problem is not q:
+        _last_diagonal = ProblemDiagonal(q)
+    return _last_diagonal
 
 
 @cache

@@ -11,6 +11,7 @@ from scipy.special import jv
 from annealab import dynamics
 from annealab.coloring_qubo import bits_to_index, build_coloring_qubo, index_to_bits
 from annealab.dynamics import (
+    BESSEL_TAIL,
     DRIFT_BOUND,
     SLOW_TIME_SCALE,
     IntegratorError,
@@ -244,6 +245,34 @@ def test_chebyshev_series_matches_reference_term_rule(data, n, a, b, dt):
     got = _chebyshev_exp(vals, a, b, lo, hi, psi, dt)
     want = _chebyshev_exp_reference(vals, a, b, lo, hi, psi, dt)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _dropped_tail(alpha, m):
+    """2 sum_{k>m} |J_k(alpha)| from scipy's jv, summed exactly, until the
+    orders are past alpha (where they decrease) and below 1e-40."""
+    terms, k = [], m + 1
+    while True:
+        block = np.abs(jv(np.arange(k, k + 64), alpha))
+        terms += block.tolist()
+        k += 64
+        if k > alpha + 1 and block[-1] < 1e-40:
+            return 2.0 * math.fsum(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.one_of(st.just(0.0), st.floats(0.0, 1e-300, allow_subnormal=True),
+                       st.floats(1e-300, 1e-3), st.integers(1, 500).map(float),
+                       st.floats(0.0, 500.0)))
+def test_bessel_series_stops_at_the_first_order_whose_dropped_tail_is_within_bound(alpha):
+    # each kept order is scipy's J_k; the dropped tail bounds the 2-norm
+    # error of the exponential, since every |T_k(H')psi| <= 1
+    series = _bessel_series(alpha)
+    m, floor = series.size - 1, max(1, int(alpha))
+    assert m >= floor
+    assert np.array_equal(series, jv(np.arange(m + 1), alpha))
+    assert _dropped_tail(alpha, m) <= BESSEL_TAIL
+    if m > floor:
+        assert _dropped_tail(alpha, m - 1) > BESSEL_TAIL
 
 
 def _chebyshev_exp_unbuffered(diag_vals, a, b, lo, hi, psi, dt):
@@ -490,3 +519,32 @@ def test_anneal_scores_each_draw_from_the_diagonal():
     final = evolve(basis_state("0110100101"), path, sched, diag)
     assert [s.bits for s in out] == sample(final, 200, seed=4)
     assert all(s.energy == diag.values[bits_to_index(s.bits)] for s in out)
+
+
+@pytest.mark.parametrize("path, time_scale, matvecs", [
+    (make_forward_path(100.0), SLOW_TIME_SCALE, 15712),
+    (make_reverse_path(0.44, 100.0), 1.0, 3323),
+], ids=["forward", "reverse"])
+def test_chebyshev_work_is_one_matvec_per_kept_order(memo, monkeypatch, path, time_scale,
+                                                     matvecs):
+    # the sweep problem on steep: one driver matvec for every order past J_0
+    # of every exponential's series, and a pinned total, so a change to the
+    # series length shows here
+    diag, sched = _sweep_problem(), resolve_schedule("steep")
+    orders, calls = [], []
+
+    def series(alpha):
+        out = _bessel_series(alpha)
+        orders.append(out.size - 1)
+        return out
+
+    def matvec(x):
+        calls.append(x.size)
+        return driver_apply(x)
+
+    monkeypatch.setattr(dynamics, "_bessel_series", series)
+    monkeypatch.setattr(dynamics, "driver_apply", matvec)
+    start = (driver_ground(6) if path.kind == "forward" else
+             basis_state(index_to_bits(int(np.argmin(diag.values)), 6)))
+    evolve(start, path, sched, diag, time_scale=time_scale)
+    assert len(calls) == sum(orders) == matvecs

@@ -1,6 +1,7 @@
 """Batch-harness tests on deliberately tiny configs."""
 
 import csv
+import hashlib
 import json
 import pickle
 from collections import defaultdict
@@ -26,6 +27,8 @@ from annealab.coloring_qubo import validate
 from annealab.heuristic import (StatevectorBackend, SvmcBackend, assisted_reverse_anneal,
                                 problem_id)
 from annealab.schedules import resolve_schedule, reverse_distance_grid
+from annealab.spectrum import ProblemDiagonal
+from test_golden import GOLDEN, STATEVECTOR
 
 
 def tiny_config(**over):
@@ -185,6 +188,23 @@ def test_sweep_reruns_bit_exactly(tmp_path):
     sweep_reverse_distance(cfg, b)
     for name in ("sweep_summary.csv", "sweep_records.jsonl"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_statevector_sweep_tabulates_its_diagonal_once(tmp_path, monkeypatch):
+    # the golden 6-qubit sweep: its stage checks, forward stage and all six
+    # reverse cycles share one diagonal, and its outputs keep their digests
+    tabulated = []
+    post_init = ProblemDiagonal.__post_init__
+
+    def counted(diag):
+        tabulated.append(diag.problem.n_vars)
+        post_init(diag)
+
+    monkeypatch.setattr(ProblemDiagonal, "__post_init__", counted)
+    sweep_reverse_distance(ExperimentConfig(**STATEVECTOR), tmp_path)
+    assert tabulated == [6]
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in GOLDEN["sweep_statevector"]} == GOLDEN["sweep_statevector"]
 
 
 @pytest.mark.parametrize("protocol, outputs", [
