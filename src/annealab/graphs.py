@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +98,31 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The vertex permutations p (v goes to p[v]) that map g's edge set onto
-    itself, in lexicographic order, the identity first: one pass over n! orders."""
-    edges = set(g.edges)
-    return [p for p in permutations(range(g.n_vertices))
-            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)]
+    itself, in lexicographic order, the identity first. A depth-first search
+    picks p[0], p[1], ... in increasing order and drops a partial map at the
+    first vertex whose degree, or whose adjacency to an earlier vertex,
+    differs from its image's."""
+    n = g.n_vertices
+    adjacent = [[False] * n for _ in range(n)]
+    for u, v in g.edges:
+        adjacent[u][v] = adjacent[v][u] = True
+    deg = g.degrees()
+    found: list[tuple[int, ...]] = []
+    p: list[int] = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            found.append(tuple(p))
+            return
+        for w in range(n):
+            if (w not in p and deg[w] == deg[v]
+                    and all(adjacent[v][u] == adjacent[w][p[u]] for u in range(v))):
+                p.append(w)
+                extend(v + 1)
+                p.pop()
+
+    extend(0)
+    return found
 
 
 def greedy_color_largest_first(g: Graph) -> tuple[int, dict[int, int]]:

@@ -9,27 +9,32 @@ structure unchanged.
 
 Basis convention: variable i is bit i (little endian) of the basis index.
 
-Dense solves split H(s) by an abelian group G of basis permutations that
-leave the problem diagonal unchanged, generated by r commuting involutions
-that ProblemDiagonal.symmetries takes from the coloring problem: color swaps
-at every vertex and the graph's automorphisms. The driver commutes with every
-bit permutation, so G commutes with H(s), and H(s) is block diagonal in the 2^r
-sectors of G's +-1 characters chi. The sector vector of an orbit labelled by
-its smallest state L is proportional to sum_g chi(g) |g L>; it is zero, and
-the orbit drops out of that sector, when chi is -1 on an element fixing L.
-The union of the sectors' spectra is the spectrum of H(s), multiplicities
-included; each sector has about 2^-r of the rows, so the 2^r dense solves
-together cost about 4^-r as much as one of the full matrix.
+Every solve away from the closed forms splits H(s) by an abelian group G of
+basis permutations that leave the problem diagonal unchanged, generated by r
+commuting involutions that ProblemDiagonal.symmetries takes from the coloring
+problem: color swaps at every vertex and the graph's automorphisms. The driver
+commutes with every bit permutation, so G commutes with H(s), and H(s) is
+block diagonal in the 2^r sectors of G's +-1 characters chi. The sector vector
+of an orbit labelled by its smallest state L is proportional to
+sum_g chi(g) |g L>; it is zero, and the orbit drops out of that sector, when
+chi is -1 on an element fixing L. The union of the sectors' spectra is the
+spectrum of H(s), multiplicities included; each sector has about 2^-r of the
+rows, so the 2^r dense solves together cost about 4^-r as much as one of the
+full matrix, and past the dense limit each sector's iterative solve needs only
+about m / 2^r of the m lowest levels (Sandvik, AIP Conf. Proc. 1297, 135
+(2010)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coloring_qubo import QuboProblem
@@ -102,11 +107,13 @@ class ProblemDiagonal:
         return tuple(gens)
 
     @cached_property
-    def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    def sectors(self) -> tuple[tuple[np.ndarray, csc_array], ...]:
         """Per nonempty sector of the group of symmetries (see the module
-        docstring): its orbit labels, and for each bit j the row of the
-        orbit that flipping bit j of each label lands on and the ratio
-        coef[y] / coef[label] of the sector vectors' coefficients there.
+        docstring): its orbit labels, and H(s) in it at a = b = 1 as a
+        compressed-column matrix. Column c, of label L, holds values[L] on
+        the diagonal, then for each bit j = 0..n-1 the ratio coef[y] / coef[L]
+        of the sector vectors' coefficients in the row of y's orbit, y being
+        L with bit j flipped. H is symmetric, so column c is also row c.
 
         Element t of the group is the product of the generators whose bit is
         set in t, and character c takes the value (-1)^popcount(c & t) on
@@ -119,8 +126,8 @@ class ProblemDiagonal:
         orbit = np.minimum.reduce(group)
         t = np.arange(len(group))
         chars = (-1.0) ** np.bitwise_count(t[:, None] & t)
-        flips = x ^ (1 << np.arange(self.n_qubits))[:, None]
-        sectors = []
+        bits = 1 << np.arange(self.n_qubits)
+        blocks = []
         # raw[z] = sum of chi(g) over g with g L = z; at a label it is the
         # orbit's stabilizer size or 0, and the vector's squared norm is
         # raw[L] * |G|
@@ -130,13 +137,42 @@ class ProblemDiagonal:
                 continue
             norm = raw[orbit] * len(group)
             coef = np.divide(raw, np.sqrt(norm), out=np.zeros_like(raw), where=norm > 0)
+            labels = x[is_label]
+            size = labels.size
             # a state outside the sector has coefficient 0, so the row it
             # names (any row in range) gains exactly 0.0
-            row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit]
-            labels = x[is_label]
-            landed = flips[:, labels]
-            sectors.append((labels, row[landed], coef[landed] / coef[labels]))
-        return tuple(sectors)
+            row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit].astype(np.int32)
+            landed = labels[:, None] ^ bits
+            indices = np.column_stack((np.arange(size, dtype=np.int32), row[landed]))
+            data = np.column_stack((self.values[labels], coef[landed] / coef[labels, None]))
+            indptr = np.arange(0, indices.size + 1, indices.shape[1], dtype=np.int32)
+            h = csc_array((data.ravel(), indices.ravel(), indptr), shape=(size, size))
+            # each H(s) shares these index arrays, so nothing may sort them in place
+            h.indices.flags.writeable = h.indptr.flags.writeable = False
+            blocks.append((labels, h))
+        return tuple(blocks)
+
+    @cached_property
+    def multiplicity_free(self) -> bool:
+        """Whether the group of `symmetries` holds every bit permutation that
+        keeps the problem's diagonal, so that no symmetry repeats a level
+        within one sector. Those permutations of a coloring problem keep its
+        couplings (2 * penalty within a vertex's block, penalty between equal
+        colors across an edge), so each is a graph automorphism times one
+        color permutation per connected component: at most |Aut| * (k!)^c
+        of them, and the group of symmetries has 2^r. False without a source
+        graph."""
+        q = self.problem
+        if q.source is None:
+            return False
+        g = q.source
+        laplacian = np.diag(np.array(g.degrees(), dtype=np.float64))
+        for u, v in g.edges:
+            laplacian[u, v] = laplacian[v, u] = -1.0
+        # the Laplacian's kernel has one dimension per connected component
+        components = g.n_vertices - np.linalg.matrix_rank(laplacian)
+        bound = len(automorphisms(g)) * math.factorial(q.k) ** components
+        return bound == 1 << len(self.symmetries)
 
 
 _last_diagonal: ProblemDiagonal | None = None
@@ -200,18 +236,63 @@ def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: n
     return out
 
 
-def _sector_hamiltonians(a: float, b: float, diag: ProblemDiagonal):
-    """H(s) in each sector of diag.symmetries (see the module docstring), as a
-    real symmetric matrix filled from the diagonal and diag.sectors' flips:
-    flipping bit j of the label L lands on y and adds b * coef[y] / coef[L]
-    to the entry in the row of y's orbit."""
-    for labels, rows, ratios in diag.sectors:
-        cols = np.arange(labels.size)
-        h = np.zeros((labels.size, labels.size), order="F")
-        h[cols, cols] = a * diag.values[labels]
-        for row, ratio in zip(rows, ratios):
-            h[row, cols] += b * ratio
-        yield h
+def _sector_operators(a: float, b: float, diag: ProblemDiagonal) -> list[csc_array]:
+    """H(s) in each sector of diag.symmetries (see the module docstring):
+    diag.sectors' matrices with each column's diagonal entry scaled by a and
+    its flip entries by b. Columns keep their entry order, so toarray() adds
+    a repeated row's entries in bit order, after the diagonal entry."""
+    n = diag.n_qubits
+    scale = np.full(n + 1, b)
+    scale[0] = a
+    return [csc_array(((h.data.reshape(-1, n + 1) * scale).ravel(), h.indices, h.indptr),
+                      shape=h.shape)
+            for _, h in diag.sectors]
+
+
+def _dense_levels(h: csc_array, k: int) -> np.ndarray:
+    """The min(k, dim) lowest eigenvalues of the sector operator h, ascending."""
+    return scipy.linalg.eigh(h.toarray(), eigvals_only=True, overwrite_a=True,
+                             subset_by_index=(0, min(k, h.shape[0]) - 1))
+
+
+def _lanczos_size(k: int) -> int:
+    """ARPACK's Lanczos basis size for the k lowest levels."""
+    return max(2 * k + 1, 40)
+
+
+def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
+    """The k lowest eigenpairs of the sector operator h orthogonal to the
+    orthonormal eigenvectors vecs of h, ascending, from ARPACK with up to
+    three deterministic seeded starts. Shifting vecs' levels past every level
+    of h leaves the lowest levels of the rest as the lowest of the operator,
+    so a copy of a degenerate level that an earlier solve missed is found."""
+    dim = h.shape[0]
+    # h.T reads the columns as rows: the same symmetric operator, with a
+    # faster matvec than compressed columns give
+    op = rows = h.T
+    if vecs.shape[1]:
+        # twice the largest absolute column sum bounds the spread of h's levels
+        shift = 2.0 * np.abs(h.data).reshape(dim, -1).sum(axis=1).max()
+        op = LinearOperator(h.shape, matvec=lambda x: rows @ x + vecs @ (shift * (vecs.T @ x)),
+                            dtype=np.float64)
+    last_residual = np.nan
+    for attempt in range(3):
+        v0 = np.random.default_rng(20_000 + attempt).standard_normal(dim)
+        try:
+            # a start can stall on a level repeated within the sector; after
+            # dim restarts the next seed takes over
+            vals, new = eigsh(op, k=k, which="SA", v0=v0, ncv=_lanczos_size(k), maxiter=dim)
+            order = np.argsort(vals)
+            return vals[order], new[:, order]
+        except ArpackNoConvergence as err:
+            if getattr(err, "eigenvalues", None) is not None and len(err.eigenvalues):
+                part, vals_part = err.eigenvectors, err.eigenvalues
+                res = op @ part[:, 0] - vals_part[0] * part[:, 0]
+                last_residual = float(np.linalg.norm(res))
+    raise SpectrumError(
+        f"at s = {s:.6g}: extremal eigensolver failed to converge after 3 seeded "
+        f"restarts (last residual norm {last_residual:.3e})"
+    )
 
 
 def _check_request(svals, m: int, diag: ProblemDiagonal) -> None:
@@ -228,15 +309,20 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     """The m smallest eigenvalues of H(s), ascending.
 
     Where a(s) or b(s) is 0, H(s) is diagonal (in the x basis if a is 0)
-    and these are its m smallest entries. Otherwise, up to 12 qubits, dense
-    partial diagonalization of H(s) in each sector of diag.symmetries, the
-    commuting involutions that leave the diagonal unchanged (see the module
-    docstring): the m lowest of all sectors' lowest levels together are
-    exactly the m lowest levels of H(s), degenerate copies included. The
-    symmetries are built only here, once per diagonal. Above 12
-    qubits, an iterative extremal solver on the matrix-free operator with
-    deterministic seeded restarts, which can drop copies of a level that a
-    symmetry of H(s) makes degenerate.
+    and these are its m smallest entries. Otherwise H(s) is solved in each
+    sector of diag.symmetries, the commuting involutions that leave the
+    diagonal unchanged (see the module docstring), built once per diagonal,
+    and the m lowest of all sectors' levels together are the m lowest levels
+    of H(s), degenerate copies included. Up to 12 qubits each sector gets a
+    dense partial diagonalization. Above 12, ARPACK with deterministic seeded
+    restarts asks each of the S sectors for ceil(m / S) + 2 levels; a sector
+    whose highest level found is at or below the merged m-th is asked for as
+    many more, orthogonal to those found, until no sector can hold one of the
+    m lowest that is missing. Where a symmetry outside the sectors' group can
+    repeat a level within a sector (diag.multiplicity_free is False), each
+    sector also gets one more single-level solve orthogonal to all it found,
+    which finds any copy the earlier ones missed. A sector too small for that
+    many Lanczos vectors is solved dense.
     """
     _check_request((s,), m, diag)
     dim = 1 << diag.n_qubits
@@ -245,36 +331,34 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
         vals = (a * diag.values if b == 0.0 else
                 b * (diag.n_qubits - 2.0 * np.bitwise_count(np.arange(dim))))
         return np.sort(np.partition(vals, m - 1)[:m])
+    ops = _sector_operators(a, b, diag)
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
-        levels = [scipy.linalg.eigh(h, eigvals_only=True, overwrite_a=True,
-                                    subset_by_index=(0, min(m, len(h)) - 1))
-                  for h in _sector_hamiltonians(a, b, diag)]
-        return np.sort(np.concatenate(levels))[:m]
-    op = LinearOperator((dim, dim), matvec=lambda x: apply_hamiltonian(s, sched, diag, x),
-                        dtype=np.float64)
-    last_residual = np.nan
-    for attempt in range(3):
-        v0 = np.random.default_rng(20_000 + attempt).standard_normal(dim)
-        try:
-            vals = eigsh(
-                op,
-                k=m,
-                which="SA",
-                v0=v0,
-                ncv=min(dim - 1, max(2 * m + 1, 40)),
-                maxiter=50 * dim,
-                return_eigenvectors=False,
-            )
-            return np.sort(vals)
-        except ArpackNoConvergence as err:
-            if getattr(err, "eigenvalues", None) is not None and len(err.eigenvalues):
-                vecs, vals_part = err.eigenvectors, err.eigenvalues
-                res = op.matvec(vecs[:, 0]) - vals_part[0] * vecs[:, 0]
-                last_residual = float(np.linalg.norm(res))
-    raise SpectrumError(
-        f"at s = {s:.6g}: extremal eigensolver failed to converge after 3 seeded "
-        f"restarts (last residual norm {last_residual:.3e})"
-    )
+        return np.sort(np.concatenate([_dense_levels(h, m) for h in ops]))[:m]
+    k = -(-m // len(ops)) + 2
+    levels = [np.empty(0)] * len(ops)
+    vecs = [np.empty((h.shape[0], 0)) for h in ops]
+    # no level of sector i below bounds[i] is missing from levels[i]
+    bounds = [-np.inf] * len(ops)
+    mth = np.inf
+    while True:
+        for i, h in enumerate(ops):
+            found = levels[i]
+            if bounds[i] > mth:
+                continue
+            ask = k if found.size == 0 or found[-1] <= mth else 1
+            if found.size + _lanczos_size(ask) >= h.shape[0]:
+                levels[i], bounds[i] = _dense_levels(h, h.shape[0]), np.inf
+                continue
+            vals, new = _extremal_pairs(s, h, ask, vecs[i])
+            levels[i], vecs[i] = np.sort(np.concatenate((found, vals))), np.hstack((vecs[i], new))
+            # a single-vector solve finds one copy of each level it reaches, so
+            # where a symmetry can repeat a level within the sector only the
+            # next solve, orthogonal to every vector found, bounds what is missing
+            bounds[i] = levels[i][-1] if diag.multiplicity_free else vals[0]
+        merged = np.sort(np.concatenate(levels))
+        mth = merged[m - 1] if merged.size >= m else np.inf
+        if all(bound > mth for bound in bounds):
+            return merged[:m]
 
 
 @dataclass(frozen=True)

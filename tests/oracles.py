@@ -1,7 +1,8 @@
 """Independent reference implementations the tests hold annealab against.
 
 No program path calls any of these: exhaustive enumeration of bitstrings,
-QUBO minima and proper colorings, the coloring cost in its defining penalty
+QUBO minima, proper colorings, graph automorphisms and the bit permutations
+that keep a diagonal, the coloring cost in its defining penalty
 form, the dense matrix of H(s) and its energy expectation, small named
 graphs, the time-mirrored anneal path, the second-order midpoint rule that
 evolve stepped with before its CF4:2 steps, and the per-qubit driver loop with
@@ -85,6 +86,22 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps g's edge set onto itself, filtered
+    from all n! orders in lexicographic order."""
+    edges = set(g.edges)
+    return [p for p in itertools.permutations(range(g.n_vertices))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)]
+
+
+def diagonal_symmetry_count(diag: ProblemDiagonal) -> int:
+    """How many bit permutations keep the diagonal, tried over all n! orders."""
+    n = diag.n_qubits
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return sum(np.array_equal(diag.values[bits @ (1 << np.array(p))], diag.values)
+               for p in itertools.permutations(range(n)))
 
 
 def reversed_path(path: AnnealPath) -> AnnealPath:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealab.graphs import (
     Graph,
@@ -9,7 +11,7 @@ from annealab.graphs import (
     greedy_color_largest_first,
     path_graph,
 )
-from oracles import complete_graph, cycle_graph, is_proper_coloring
+from oracles import brute_force_automorphisms, complete_graph, cycle_graph, is_proper_coloring
 
 
 def test_edges_canonicalized():
@@ -71,6 +73,19 @@ def test_automorphisms_match_the_known_group_orders(g, order):
     for p in found:
         assert sorted(p) == list(range(g.n_vertices))
         assert Graph(g.n_vertices, tuple((p[u], p[v]) for u, v in g.edges)).edges == g.edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_automorphisms_match_the_brute_force_filter(n, p, seed):
+    g = generate_er(n, p, seed)
+    assert automorphisms(g) == brute_force_automorphisms(g)
+
+
+def test_automorphisms_of_a_long_path_need_no_pass_over_all_orders():
+    # the brute-force filter would walk 12! orders; the search prunes at the
+    # first vertex whose degree or earlier adjacency disagrees
+    assert automorphisms(path_graph(12)) == [tuple(range(12)), tuple(range(11, -1, -1))]
 
 
 def test_greedy_k3_needs_three():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -34,6 +34,7 @@ from oracles import (
     brute_force_solve,
     complete_graph,
     dense_hamiltonian,
+    diagonal_symmetry_count,
     penalty_form_energy,
 )
 
@@ -233,7 +234,7 @@ def test_symmetries_are_commuting_involutions_that_keep_the_diagonal(data, k, p,
         assert np.array_equal(diag.values[perm], diag.values)
         assert all(np.array_equal(perm[h], h[perm]) for h in gens[:i])
         assert not any(np.array_equal(perm, e) for e in _group(gens[:i], dim))
-    assert sum(labels.size for labels, _, _ in diag.sectors) == dim
+    assert sum(labels.size for labels, _ in diag.sectors) == dim
 
 
 def test_relabelled_p5_finds_the_color_swap_and_the_reflection():
@@ -345,14 +346,6 @@ def test_iterative_solver_matches_sparse_oracle():
     assert np.allclose(vals, oracle, atol=1e-7)
 
 
-def test_iterative_path_never_searches_for_symmetries():
-    # the automorphism pass is factorial in the vertex count (10! orders at
-    # 20 qubits and k = 2), so only the dense path may run it
-    diag = build_problem_diagonal(build_coloring_qubo(generate_er(13, 0.3, 8), 1))
-    lowest_eigenvalues(0.55, LIN, diag, m=2)
-    assert "symmetries" not in diag.__dict__ and "sectors" not in diag.__dict__
-
-
 def test_p5_s1_ground_degeneracy():
     q = build_coloring_qubo(path_graph(5), 2)
     diag = build_problem_diagonal(q)
@@ -455,23 +448,69 @@ def test_iterative_solver_gives_up_after_three_restarts(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigsh", no_convergence)
     monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
-    diag = build_problem_diagonal(build_coloring_qubo(path_graph(2), 2))
+    # P4's sectors hold 60 to 76 states, enough that the first goes through
+    # eigsh; P2's are small enough to be solved dense
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(4), 2))
     with pytest.raises(SpectrumError, match="at s = 0.5: extremal eigensolver failed to "
                                             "converge after 3 seeded restarts"):
         spectrum_sweep(LIN, diag, grid=[0.5], m=2)
     assert len(starts) == 3
 
 
-@pytest.mark.xfail(strict=True, reason="the iterative solver drops a copy of a level that a "
-                                       "symmetry of H(s) makes degenerate (ROADMAP item 7)")
 def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
-    # K3 at k=3 has every color permutation as a symmetry; today the forced
-    # iterative solve's 15th level is off by 0.0998
+    # K3 at k=3 has every color permutation as a symmetry, which repeats
+    # levels within a sector; the full-space iterative solve that came before
+    # the sector split dropped a copy and was off by 0.0998 at the 15th level
     diag = build_problem_diagonal(build_coloring_qubo(complete_graph(3), 3))
     dense = lowest_eigenvalues(0.5, LIN, diag, 15)
     monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
     iterative = lowest_eigenvalues(0.5, LIN, diag, 15)
     assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(2, 4), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       s=st.floats(0.01, 0.99))
+def test_iterative_path_matches_the_dense_solve(data, k, p, seed, s):
+    # s stays 0.01 from the endpoints: within about 1e-3 of them the low
+    # levels bunch into clusters ARPACK may not converge on (K6 at k=2,
+    # s = 0.99999, m = 25: all three seeded starts fail, and the full-space
+    # solve this path replaced ran past 100 s); ROADMAP item 7 carries it
+    g = generate_er(data.draw(st.integers(1, 12 // k), label="n_vertices"), p, seed)
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    m = data.draw(st.integers(1, min(30, 1 << diag.n_qubits)), label="m")
+    dense = lowest_eigenvalues(s, LIN, diag, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+        iterative = lowest_eigenvalues(s, LIN, diag, m)
+    assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+
+
+def test_iterative_path_solves_a_sector_again_when_it_may_hold_more_of_the_lowest(monkeypatch):
+    # P5 at k=2, m=15: each of the 4 sectors is asked for 6 levels, and the
+    # first sector's 6 are all among the 15 lowest, so it is asked for 6 more
+    calls = []
+
+    def counting_eigsh(op, k, **kw):
+        calls.append(k)
+        return eigsh(op, k, **kw)
+
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(5), 2))
+    dense = lowest_eigenvalues(0.5, LIN, diag, 15)
+    monkeypatch.setattr(spectrum, "eigsh", counting_eigsh)
+    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    iterative = lowest_eigenvalues(0.5, LIN, diag, 15)
+    assert calls == [6] * 5 and len(diag.sectors) == 4
+    assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_multiplicity_free_exactly_when_the_symmetries_generate_every_one(data, k, p, seed):
+    g = generate_er(data.draw(st.integers(1, 7 // k), label="n_vertices"), p, seed)
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    every = diagonal_symmetry_count(diag)
+    assert diag.multiplicity_free == (every == 1 << len(diag.symmetries))
 
 
 @pytest.mark.parametrize("call, match", [
