@@ -96,12 +96,17 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, involutive: bool = False,
+                  limit: int | None = None) -> list[tuple[int, ...]]:
     """The vertex permutations p (v goes to p[v]) that map g's edge set onto
-    itself, in lexicographic order, the identity first. A depth-first search
-    picks p[0], p[1], ... in increasing order and drops a partial map at the
-    first vertex whose degree, or whose adjacency to an earlier vertex,
-    differs from its image's."""
+    itself, in lexicographic order, the identity first; with involutive, only
+    those with p[p[v]] == v; with limit, only the first limit of them. A
+    depth-first search picks p[0], p[1], ... in increasing order and drops a
+    partial map at the first vertex whose degree, or whose adjacency to an
+    earlier vertex, differs from its image's, or, for involutions, whose image
+    is an earlier vertex not mapped to it or a later one while an earlier
+    vertex maps to it. An edgeless 10-vertex graph has 10! automorphisms but
+    9 496 involutive ones."""
     n = g.n_vertices
     adjacent = [[False] * n for _ in range(n)]
     for u, v in g.edges:
@@ -115,6 +120,10 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
             found.append(tuple(p))
             return
         for w in range(n):
+            if len(found) == limit:
+                return
+            if involutive and (p[w] != v if w < v else v in p):
+                continue
             if (w not in p and deg[w] == deg[v]
                     and all(adjacent[v][u] == adjacent[w][p[u]] for u in range(v))):
                 p.append(w)

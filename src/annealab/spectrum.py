@@ -84,26 +84,34 @@ class ProblemDiagonal:
         color swaps (0 1), (2 3), ... at every vertex, then the source graph's
         involutive automorphisms in lexicographic order, each one that keeps
         the diagonal, commutes with those taken and is not in their group.
-        Empty without a source graph or below 2 colors."""
+        Empty without a source graph or below 2 colors. Group membership and
+        commuting are decided on the permutations of the n bits, so only a
+        candidate that passes both is tabulated over the 2^n states."""
         q = self.problem
         if q.source is None or q.k < 2:
             return ()
         keep_v, keep_c = tuple(range(q.source.n_vertices)), tuple(range(q.k))
         swaps = [(keep_v, tuple(c ^ 1 if c >> 1 == pair else c for c in keep_c))
                  for pair in range(q.k // 2)]
-        flips = [(p, keep_c) for p in automorphisms(q.source)
-                 if all(p[w] == v for v, w in enumerate(p))]
+        flips = [(p, keep_c) for p in automorphisms(q.source, involutive=True)]
         index = {(v, c): i for v, c, i in q.var_map}
         x = np.arange(self.values.size)
-        gens, group = [], [x]
+        gens, taken, group = [], [], {tuple(range(q.n_vars))}
         # each candidate moves the var_map bit of (v, c) to that of (to_v[v], to_c[c])
         for to_v, to_c in swaps + flips:
-            g = sum(((x >> i) & 1) << index[to_v[v], to_c[c]] for v, c, i in q.var_map)
-            if (np.array_equal(self.values[g], self.values)
-                    and all(np.array_equal(g[h], h[g]) for h in gens)
-                    and not any(np.array_equal(g, e) for e in group)):
+            moves = [(i, index[to_v[v], to_c[c]]) for v, c, i in q.var_map]
+            perm = list(range(q.n_vars))
+            for i, j in moves:
+                perm[i] = j
+            perm = tuple(perm)
+            if perm in group or any(tuple(h[j] for j in perm) != tuple(perm[j] for j in h)
+                                    for h in taken):
+                continue
+            g = sum(((x >> i) & 1) << j for i, j in moves)
+            if np.array_equal(self.values[g], self.values):
                 gens.append(g)
-                group += [e[g] for e in group]
+                taken.append(perm)
+                group |= {tuple(e[j] for j in perm) for e in group}
         return tuple(gens)
 
     @cached_property
@@ -117,36 +125,62 @@ class ProblemDiagonal:
 
         Element t of the group is the product of the generators whose bit is
         set in t, and character c takes the value (-1)^popcount(c & t) on
-        it. Every element is an involution, so g maps the label L of z's
-        orbit to z exactly when g maps z to L."""
+        it. The group is walked one element at a time, never held whole.
+        Every element is an involution, so an element that maps z to its
+        orbit's label L maps L to z, and with S the stabilizer of L, the sum
+        of chi(g) over the g with g L = z is chi of one of them times |S| if
+        chi is 1 on all of S, and 0 otherwise."""
         x = np.arange(self.values.size)
-        group = [x]
-        for g in self.symmetries:
-            group += [e[g] for e in group]
-        orbit = np.minimum.reduce(group)
-        t = np.arange(len(group))
-        chars = (-1.0) ** np.bitwise_count(t[:, None] & t)
-        bits = 1 << np.arange(self.n_qubits)
+        gens = self.symmetries
+        size = 1 << len(gens)
+
+        def images(z):
+            """(t, element t applied to z) for every t, in Gray-code order,
+            which changes one generator per step."""
+            yield 0, z
+            for step in range(1, size):
+                z = gens[(step & -step).bit_length() - 1][z]
+                yield step ^ (step >> 1), z
+
+        # orbit[z]: the smallest state of z's orbit; lift[z]: an element taking z there
+        orbit, lift = x.copy(), np.zeros(x.size, dtype=np.int32)
+        for t, e in images(x):
+            lower = e < orbit
+            orbit[lower], lift[lower] = e[lower], t
+        reps = x[orbit == x]
+        # fixed[t, i]: element t fixes reps[i]; few distinct stabilizers
+        fixed = np.zeros((size, reps.size), dtype=bool)
+        for t, e in images(reps):
+            fixed[t] = e == reps
+        stabilizers, which = np.unique(fixed, axis=1, return_inverse=True)
+        stabilizers, stab = stabilizers.astype(np.float64), fixed.sum(axis=0)
+        rep_of = (np.cumsum(orbit == x) - 1).astype(np.int32)[orbit]
+        t = np.arange(size)
+        n = self.n_qubits
         blocks = []
-        # raw[z] = sum of chi(g) over g with g L = z; at a label it is the
-        # orbit's stabilizer size or 0, and the vector's squared norm is
-        # raw[L] * |G|
-        for raw in chars @ np.array([e == orbit for e in group], dtype=np.float64):
-            is_label = (orbit == x) & (raw > 0)
-            if not is_label.any():
+        for c in range(size):
+            chi = (-1.0) ** np.bitwise_count(c & t)
+            inside = (chi @ stabilizers > 0)[which]
+            if not inside.any():
                 continue
-            norm = raw[orbit] * len(group)
-            coef = np.divide(raw, np.sqrt(norm), out=np.zeros_like(raw), where=norm > 0)
-            labels = x[is_label]
-            size = labels.size
+            labels = reps[inside]
+            # the sector vector of label L has coefficient coef[L] at L and
+            # chi(lift[y]) * coef[L'] at y in the orbit of label L'
+            coef = np.where(inside, stab / np.sqrt(stab * size), 0.0)
             # a state outside the sector has coefficient 0, so the row it
             # names (any row in range) gains exactly 0.0
-            row = np.maximum(np.cumsum(is_label) - 1, 0)[orbit].astype(np.int32)
-            landed = labels[:, None] ^ bits
-            indices = np.column_stack((np.arange(size, dtype=np.int32), row[landed]))
-            data = np.column_stack((self.values[labels], coef[landed] / coef[labels, None]))
-            indptr = np.arange(0, indices.size + 1, indices.shape[1], dtype=np.int32)
-            h = csc_array((data.ravel(), indices.ravel(), indptr), shape=(size, size))
+            row = np.maximum(np.cumsum(inside) - 1, 0).astype(np.int32)
+            here = coef[inside]
+            indices = np.empty((labels.size, n + 1), dtype=np.int32)
+            data = np.empty((labels.size, n + 1))
+            indices[:, 0], data[:, 0] = np.arange(labels.size), self.values[labels]
+            for j in range(n):
+                y = labels ^ (1 << j)
+                indices[:, j + 1] = row[rep_of[y]]
+                # + 0.0 makes the -0.0 of chi = -1 outside the sector +0.0
+                data[:, j + 1] = (chi[lift[y]] * coef[rep_of[y]] + 0.0) / here
+            indptr = np.arange(0, indices.size + 1, n + 1, dtype=np.int32)
+            h = csc_array((data.ravel(), indices.ravel(), indptr), shape=(labels.size,) * 2)
             # each H(s) shares these index arrays, so nothing may sort them in place
             h.indices.flags.writeable = h.indptr.flags.writeable = False
             blocks.append((labels, h))
@@ -160,8 +194,9 @@ class ProblemDiagonal:
         couplings (2 * penalty within a vertex's block, penalty between equal
         colors across an edge), so each is a graph automorphism times one
         color permutation per connected component: at most |Aut| * (k!)^c
-        of them, and the group of symmetries has 2^r. False without a source
-        graph."""
+        of them, and the group of symmetries has 2^r. So it is enough that
+        the graph has 2^r / (k!)^c automorphisms, which the search counts only
+        up to one more. False without a source graph."""
         q = self.problem
         if q.source is None:
             return False
@@ -171,8 +206,8 @@ class ProblemDiagonal:
             laplacian[u, v] = laplacian[v, u] = -1.0
         # the Laplacian's kernel has one dimension per connected component
         components = g.n_vertices - np.linalg.matrix_rank(laplacian)
-        bound = len(automorphisms(g)) * math.factorial(q.k) ** components
-        return bound == 1 << len(self.symmetries)
+        want, rest = divmod(1 << len(self.symmetries), math.factorial(q.k) ** components)
+        return rest == 0 and len(automorphisms(g, limit=want + 1)) == want
 
 
 _last_diagonal: ProblemDiagonal | None = None
@@ -236,17 +271,16 @@ def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: n
     return out
 
 
-def _sector_operators(a: float, b: float, diag: ProblemDiagonal) -> list[csc_array]:
-    """H(s) in each sector of diag.symmetries (see the module docstring):
-    diag.sectors' matrices with each column's diagonal entry scaled by a and
-    its flip entries by b. Columns keep their entry order, so toarray() adds
-    a repeated row's entries in bit order, after the diagonal entry."""
-    n = diag.n_qubits
+def _sector_operator(a: float, b: float, h: csc_array) -> csc_array:
+    """H(s) in one sector (see the module docstring): a matrix of
+    diag.sectors with each column's diagonal entry scaled by a and its flip
+    entries by b. Columns keep their entry order, so toarray() adds a
+    repeated row's entries in bit order, after the diagonal entry."""
+    n = h.data.size // h.shape[0] - 1
     scale = np.full(n + 1, b)
     scale[0] = a
-    return [csc_array(((h.data.reshape(-1, n + 1) * scale).ravel(), h.indices, h.indptr),
-                      shape=h.shape)
-            for _, h in diag.sectors]
+    return csc_array(((h.data.reshape(-1, n + 1) * scale).ravel(), h.indices, h.indptr),
+                     shape=h.shape)
 
 
 def _dense_levels(h: csc_array, k: int) -> np.ndarray:
@@ -331,20 +365,22 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
         vals = (a * diag.values if b == 0.0 else
                 b * (diag.n_qubits - 2.0 * np.bitwise_count(np.arange(dim))))
         return np.sort(np.partition(vals, m - 1)[:m])
-    ops = _sector_operators(a, b, diag)
+    blocks = [h for _, h in diag.sectors]
     if diag.n_qubits <= DENSE_QUBIT_LIMIT:
-        return np.sort(np.concatenate([_dense_levels(h, m) for h in ops]))[:m]
-    k = -(-m // len(ops)) + 2
-    levels = [np.empty(0)] * len(ops)
-    vecs = [np.empty((h.shape[0], 0)) for h in ops]
+        return np.sort(np.concatenate([_dense_levels(_sector_operator(a, b, h), m)
+                                       for h in blocks]))[:m]
+    k = -(-m // len(blocks)) + 2
+    levels = [np.empty(0)] * len(blocks)
+    vecs = [np.empty((h.shape[0], 0)) for h in blocks]
     # no level of sector i below bounds[i] is missing from levels[i]
-    bounds = [-np.inf] * len(ops)
+    bounds = [-np.inf] * len(blocks)
     mth = np.inf
     while True:
-        for i, h in enumerate(ops):
+        for i, h in enumerate(blocks):
             found = levels[i]
             if bounds[i] > mth:
                 continue
+            h = _sector_operator(a, b, h)
             ask = k if found.size == 0 or found[-1] <= mth else 1
             if found.size + _lanczos_size(ask) >= h.shape[0]:
                 levels[i], bounds[i] = _dense_levels(h, h.shape[0]), np.inf

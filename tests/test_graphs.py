@@ -79,13 +79,23 @@ def test_automorphisms_match_the_known_group_orders(g, order):
 @given(n=st.integers(1, 7), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
 def test_automorphisms_match_the_brute_force_filter(n, p, seed):
     g = generate_er(n, p, seed)
-    assert automorphisms(g) == brute_force_automorphisms(g)
+    every = brute_force_automorphisms(g)
+    assert automorphisms(g) == every
+    involutions = [p for p in every if all(p[w] == v for v, w in enumerate(p))]
+    assert automorphisms(g, involutive=True) == involutions
+    assert automorphisms(g, limit=2) == every[:2]
 
 
 def test_automorphisms_of_a_long_path_need_no_pass_over_all_orders():
     # the brute-force filter would walk 12! orders; the search prunes at the
     # first vertex whose degree or earlier adjacency disagrees
     assert automorphisms(path_graph(12)) == [tuple(range(12)), tuple(range(11, -1, -1))]
+
+
+def test_involutive_automorphisms_of_an_edgeless_graph_skip_the_other_orders():
+    # 10! = 3 628 800 automorphisms, of which 9 496 are involutions
+    found = automorphisms(Graph(10), involutive=True)
+    assert len(found) == 9496 and found[:2] == [tuple(range(10)), (*range(8), 9, 8)]
 
 
 def test_greedy_k3_needs_three():

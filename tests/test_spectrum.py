@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annealab.coloring_qubo import QuboProblem, build_coloring_qubo
-from annealab.graphs import Graph, generate_er, path_graph
+from annealab.graphs import Graph, automorphisms, generate_er, path_graph
 from annealab import spectrum
 from annealab.schedules import resolve_schedule
 from annealab.spectrum import (
@@ -511,6 +511,27 @@ def test_multiplicity_free_exactly_when_the_symmetries_generate_every_one(data, 
     diag = build_problem_diagonal(build_coloring_qubo(g, k))
     every = diagonal_symmetry_count(diag)
     assert diag.multiplicity_free == (every == 1 << len(diag.symmetries))
+
+
+def test_a_star_lists_only_the_automorphisms_its_symmetries_need(monkeypatch):
+    # K_{1,7} at k = 2 (16 qubits) has 7! = 5040 automorphisms. The
+    # symmetries need only the 232 involutions, and multiplicity_free only
+    # 2^4 / 2 + 1 = 9 automorphisms to see that the group of 2^4 is not all
+    listed = []
+
+    def listing(g, **kw):
+        found = automorphisms(g, **kw)
+        listed.append(len(found))
+        return found
+
+    monkeypatch.setattr(spectrum, "automorphisms", listing)
+    star = Graph(8, tuple((0, v) for v in range(1, 8)))
+    diag = build_problem_diagonal(build_coloring_qubo(star, 2))
+    assert len(diag.symmetries) == 4 and not diag.multiplicity_free
+    assert listed == [232, 9]
+    x = np.arange(1 << diag.n_qubits)
+    for g in diag.symmetries:
+        assert np.array_equal(g[g], x) and np.array_equal(diag.values[g], diag.values)
 
 
 @pytest.mark.parametrize("call, match", [
