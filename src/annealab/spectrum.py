@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -84,44 +85,48 @@ class ProblemDiagonal:
         color swaps (0 1), (2 3), ... at every vertex, then the source graph's
         involutive automorphisms in lexicographic order, each one that keeps
         the diagonal, commutes with those taken and is not in their group.
-        Empty without a source graph or below 2 colors. Group membership and
-        commuting are decided on the permutations of the n bits, so only a
+        Empty without a source graph. The automorphism search skips every
+        involution that does not commute with those taken, and group
+        membership is decided on the permutations of the n bits, so only a
         candidate that passes both is tabulated over the 2^n states."""
         q = self.problem
-        if q.source is None or q.k < 2:
+        if q.source is None:
             return ()
         keep_v, keep_c = tuple(range(q.source.n_vertices)), tuple(range(q.k))
         swaps = [(keep_v, tuple(c ^ 1 if c >> 1 == pair else c for c in keep_c))
                  for pair in range(q.k // 2)]
-        flips = [(p, keep_c) for p in automorphisms(q.source, involutive=True)]
+        # the vertex maps taken; a color swap and a vertex map always commute,
+        # and two candidates commute when their vertex maps do
+        taken = []
+        flips = ((p, keep_c) for p in automorphisms(q.source, involutive=True, commuting=taken))
         index = {(v, c): i for v, c, i in q.var_map}
         x = np.arange(self.values.size)
-        gens, taken, group = [], [], {tuple(range(q.n_vars))}
+        gens, group = [], {tuple(range(q.n_vars))}
         # each candidate moves the var_map bit of (v, c) to that of (to_v[v], to_c[c])
-        for to_v, to_c in swaps + flips:
+        for to_v, to_c in chain(swaps, flips):
             moves = [(i, index[to_v[v], to_c[c]]) for v, c, i in q.var_map]
             perm = list(range(q.n_vars))
             for i, j in moves:
                 perm[i] = j
             perm = tuple(perm)
-            if perm in group or any(tuple(h[j] for j in perm) != tuple(perm[j] for j in h)
-                                    for h in taken):
+            if perm in group:
                 continue
             g = sum(((x >> i) & 1) << j for i, j in moves)
             if np.array_equal(self.values[g], self.values):
                 gens.append(g)
-                taken.append(perm)
+                taken.append(to_v)
                 group |= {tuple(e[j] for j in perm) for e in group}
         return tuple(gens)
 
     @cached_property
-    def sectors(self) -> tuple[tuple[np.ndarray, csc_array], ...]:
+    def sectors(self) -> tuple[csc_array, ...]:
         """Per nonempty sector of the group of symmetries (see the module
-        docstring): its orbit labels, and H(s) in it at a = b = 1 as a
-        compressed-column matrix. Column c, of label L, holds values[L] on
-        the diagonal, then for each bit j = 0..n-1 the ratio coef[y] / coef[L]
-        of the sector vectors' coefficients in the row of y's orbit, y being
-        L with bit j flipped. H is symmetric, so column c is also row c.
+        docstring), H(s) in it at a = b = 1 as a compressed-column matrix
+        with one column per orbit in the sector, in the order of the orbits'
+        labels. Column c, of label L, holds values[L] on the diagonal, then
+        for each bit j = 0..n-1 the ratio coef[y] / coef[L] of the sector
+        vectors' coefficients in the row of y's orbit, y being L with bit j
+        flipped. H is symmetric, so column c is also row c.
 
         Element t of the group is the product of the generators whose bit is
         set in t, and character c takes the value (-1)^popcount(c & t) on
@@ -183,7 +188,7 @@ class ProblemDiagonal:
             h = csc_array((data.ravel(), indices.ravel(), indptr), shape=(labels.size,) * 2)
             # each H(s) shares these index arrays, so nothing may sort them in place
             h.indices.flags.writeable = h.indptr.flags.writeable = False
-            blocks.append((labels, h))
+            blocks.append(h)
         return tuple(blocks)
 
     @cached_property
@@ -207,7 +212,7 @@ class ProblemDiagonal:
         # the Laplacian's kernel has one dimension per connected component
         components = g.n_vertices - np.linalg.matrix_rank(laplacian)
         want, rest = divmod(1 << len(self.symmetries), math.factorial(q.k) ** components)
-        return rest == 0 and len(automorphisms(g, limit=want + 1)) == want
+        return rest == 0 and sum(1 for _ in islice(automorphisms(g), want + 1)) == want
 
 
 _last_diagonal: ProblemDiagonal | None = None
@@ -259,18 +264,6 @@ def driver_apply(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: np.ndarray) -> np.ndarray:
-    """H(s)|state> = (a(s) * diag) * state + b(s) * driver_apply(state),
-    matrix-free in O(n 2^n); the one H(s) matvec."""
-    if state.shape != diag.values.shape:
-        raise ValueError(f"state shape {state.shape} does not match {diag.values.shape}")
-    out = float(sched.a(s)) * diag.values * state
-    b = float(sched.b(s))
-    if b != 0.0:
-        out = out + b * driver_apply(state)
-    return out
-
-
 def _sector_operator(a: float, b: float, h: csc_array) -> csc_array:
     """H(s) in one sector (see the module docstring): a matrix of
     diag.sectors with each column's diagonal entry scaled by a and its flip
@@ -284,9 +277,15 @@ def _sector_operator(a: float, b: float, h: csc_array) -> csc_array:
 
 
 def _dense_levels(h: csc_array, k: int) -> np.ndarray:
-    """The min(k, dim) lowest eigenvalues of the sector operator h, ascending."""
-    return scipy.linalg.eigh(h.toarray(), eigvals_only=True, overwrite_a=True,
-                             subset_by_index=(0, min(k, h.shape[0]) - 1))
+    """The min(k, dim) lowest eigenvalues of the sector operator h, ascending.
+    LAPACK's partial solve can fail where a diagonal entry is near the
+    smallest normal double (a(s) = 2^-1022); the full solve then takes over."""
+    top = min(k, h.shape[0]) - 1
+    try:
+        return scipy.linalg.eigh(h.toarray(), eigvals_only=True, overwrite_a=True,
+                                 subset_by_index=(0, top))
+    except np.linalg.LinAlgError:
+        return scipy.linalg.eigh(h.toarray(), eigvals_only=True, overwrite_a=True)[:top + 1]
 
 
 def _lanczos_size(k: int) -> int:
@@ -347,16 +346,17 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     sector of diag.symmetries, the commuting involutions that leave the
     diagonal unchanged (see the module docstring), built once per diagonal,
     and the m lowest of all sectors' levels together are the m lowest levels
-    of H(s), degenerate copies included. Up to 12 qubits each sector gets a
-    dense partial diagonalization. Above 12, ARPACK with deterministic seeded
-    restarts asks each of the S sectors for ceil(m / S) + 2 levels; a sector
-    whose highest level found is at or below the merged m-th is asked for as
-    many more, orthogonal to those found, until no sector can hold one of the
-    m lowest that is missing. Where a symmetry outside the sectors' group can
-    repeat a level within a sector (diag.multiplicity_free is False), each
-    sector also gets one more single-level solve orthogonal to all it found,
-    which finds any copy the earlier ones missed. A sector too small for that
-    many Lanczos vectors is solved dense.
+    of H(s), degenerate copies included. Up to DENSE_QUBIT_LIMIT qubits, and
+    in a sector too small for the Lanczos basis, a dense partial
+    diagonalization gives a sector's m lowest levels. Otherwise ARPACK with
+    deterministic seeded restarts asks each of the S sectors for
+    ceil(m / S) + 2 levels; a sector whose highest level found is at or below
+    the merged m-th is asked for as many more, orthogonal to those found,
+    until no sector can hold one of the m lowest that is missing. Where a
+    symmetry outside the sectors' group can repeat a level within a sector
+    (diag.multiplicity_free is False), each sector also gets one more
+    single-level solve orthogonal to all it found, which finds any copy the
+    earlier ones missed.
     """
     _check_request((s,), m, diag)
     dim = 1 << diag.n_qubits
@@ -365,10 +365,7 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
         vals = (a * diag.values if b == 0.0 else
                 b * (diag.n_qubits - 2.0 * np.bitwise_count(np.arange(dim))))
         return np.sort(np.partition(vals, m - 1)[:m])
-    blocks = [h for _, h in diag.sectors]
-    if diag.n_qubits <= DENSE_QUBIT_LIMIT:
-        return np.sort(np.concatenate([_dense_levels(_sector_operator(a, b, h), m)
-                                       for h in blocks]))[:m]
+    blocks = diag.sectors
     k = -(-m // len(blocks)) + 2
     levels = [np.empty(0)] * len(blocks)
     vecs = [np.empty((h.shape[0], 0)) for h in blocks]
@@ -382,8 +379,8 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
                 continue
             h = _sector_operator(a, b, h)
             ask = k if found.size == 0 or found[-1] <= mth else 1
-            if found.size + _lanczos_size(ask) >= h.shape[0]:
-                levels[i], bounds[i] = _dense_levels(h, h.shape[0]), np.inf
+            if diag.n_qubits <= DENSE_QUBIT_LIMIT or found.size + _lanczos_size(ask) >= h.shape[0]:
+                levels[i], bounds[i] = _dense_levels(h, m), np.inf
                 continue
             vals, new = _extremal_pairs(s, h, ask, vecs[i])
             levels[i], vecs[i] = np.sort(np.concatenate((found, vals))), np.hstack((vecs[i], new))

@@ -2,11 +2,12 @@
 
 No program path calls any of these: exhaustive enumeration of bitstrings,
 QUBO minima, proper colorings, graph automorphisms and the bit permutations
-that keep a diagonal, the coloring cost in its defining penalty
-form, the dense matrix of H(s) and its energy expectation, small named
-graphs, the time-mirrored anneal path, the second-order midpoint rule that
-evolve stepped with before its CF4:2 steps, and the per-qubit driver loop with
-the byte-level helpers that compare against it.
+that keep a diagonal, the coloring cost in its defining penalty form, the
+dense matrix of H(s), its matrix-free product with a state and its energy
+expectation, small named graphs, the time-mirrored anneal path, the
+second-order midpoint rule that evolve stepped with before its CF4:2 steps,
+and the per-qubit driver loop with the byte-level helpers that compare
+against it.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from annealab.coloring_qubo import QuboProblem, index_to_bits
 from annealab.dynamics import DRIFT_BOUND, IntegratorError, QuantumState, _chebyshev_exp
 from annealab.graphs import Graph
 from annealab.schedules import AnnealPath, Schedule
-from annealab.spectrum import ProblemDiagonal, apply_hamiltonian
+from annealab.spectrum import ProblemDiagonal, driver_apply
 
 
 def all_bitstrings(n: int) -> np.ndarray:
@@ -150,6 +151,18 @@ def dense_hamiltonian(s, sched, diag):
     for j in range(diag.n_qubits):
         h[idx, idx ^ (1 << j)] += b
     return h
+
+
+def apply_hamiltonian(s: float, sched: Schedule, diag: ProblemDiagonal, state: np.ndarray) -> np.ndarray:
+    """H(s)|state> = (a(s) * diag) * state + b(s) * driver_apply(state),
+    matrix-free in O(n 2^n)."""
+    if state.shape != diag.values.shape:
+        raise ValueError(f"state shape {state.shape} does not match {diag.values.shape}")
+    out = float(sched.a(s)) * diag.values * state
+    b = float(sched.b(s))
+    if b != 0.0:
+        out = out + b * driver_apply(state)
+    return out
 
 
 def energy_expectation(s: float, sched: Schedule, diag: ProblemDiagonal, state: QuantumState) -> float:

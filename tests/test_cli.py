@@ -133,9 +133,9 @@ def test_graph_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys):
     ("--forward-shots", 0, "forward_shots must be >= 1, got 0"),
     ("--s-prime", "nan", "reverse distance must be in (0, 1), got nan"),
     ("--total-time", "inf", "total_time must be positive and finite, got inf"),
-    ("--ra-time-scale", "1e308",
-     "ra_time_scale must be positive and finite times total_time, got 1e+308"),
-    # finite times total_time, but not times the rotor sampler's 1000 sweeps
+    # finite, but not times the rotor sampler's 1000 sweeps per waypoint
+    ("--ra-time-scale", "1e308", "time_scale must be positive and finite, got 1e+308 "
+                                 "(times 1000)"),
     ("--forward-time-scale", "1e306", "time_scale must be positive and finite, got 1e+306 "
                                       "(times 1000)"),
 ])

@@ -33,11 +33,12 @@ from annealab.schedules import (
     resolve_schedule,
     reverse_distance_grid,
 )
-from annealab.spectrum import apply_hamiltonian, build_problem_diagonal, driver_apply
+from annealab.spectrum import build_problem_diagonal, driver_apply
 from oracles import (
     SPECIAL_ENTRIES,
     _driver_apply_loop,
     _state,
+    apply_hamiltonian,
     assert_same_bytes,
     complete_graph,
     energy_expectation,

@@ -62,7 +62,7 @@ def test_default_grid_is_the_ten_step_descent():
     dict(sizes=(3, 3)),
     dict(total_time=float("inf")),
     dict(forward_time_scale=float("inf")),
-    dict(ra_time_scale=1e308),  # finite, but times total_time it overflows
+    dict(ra_time_scale=0.0),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
@@ -408,6 +408,22 @@ def test_reverse_stage_that_cannot_finish_is_refused_before_any_evolve(tmp_path,
                                          r"\(1e\+306\)"):
         sweep_reverse_distance(tiny_config(backend="statevector", n_vertices=3, k=2,
                                            ra_time_scale=1e306), out)
+    assert not out.exists()
+
+
+def test_svmc_stage_that_overflows_its_time_scale_is_refused_before_any_draw(tmp_path,
+                                                                            monkeypatch):
+    # the config takes any finite positive scale; the rotor sampler's check
+    # refuses one whose product with the 25 sweeps per waypoint overflows
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before refusing the reverse stage")
+
+    monkeypatch.delenv("ANNEALAB_WORKERS", raising=False)
+    monkeypatch.setattr(svmc, "svmc_run", unreachable)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=r"time_scale must be positive and finite, got 1e\+308 "
+                                         r"\(times 25\)"):
+        sweep_reverse_distance(tiny_config(ra_time_scale=1e308), out)
     assert not out.exists()
 
 

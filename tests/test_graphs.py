@@ -67,7 +67,7 @@ def test_er_density_sane():
     (Graph(5), 120), (Graph(4, ((0, 1), (0, 2), (0, 3))), 6), (Graph(4, ((0, 1), (2, 3))), 8),
 ], ids=["P5", "C5", "C6", "K4", "edgeless-5", "star-K13", "two-disjoint-edges"])
 def test_automorphisms_match_the_known_group_orders(g, order):
-    found = automorphisms(g)
+    found = list(automorphisms(g))
     assert len(found) == order == len(set(found))
     assert found[0] == tuple(range(g.n_vertices)) and found == sorted(found)
     for p in found:
@@ -80,22 +80,28 @@ def test_automorphisms_match_the_known_group_orders(g, order):
 def test_automorphisms_match_the_brute_force_filter(n, p, seed):
     g = generate_er(n, p, seed)
     every = brute_force_automorphisms(g)
-    assert automorphisms(g) == every
+    assert list(automorphisms(g)) == every
     involutions = [p for p in every if all(p[w] == v for v, w in enumerate(p))]
-    assert automorphisms(g, involutive=True) == involutions
-    assert automorphisms(g, limit=2) == every[:2]
+    assert list(automorphisms(g, involutive=True)) == involutions
+    # commuting with the last involution, the identity if it is the only one
+    h = involutions[-1]
+    assert list(automorphisms(g, involutive=True, commuting=[h])) == [
+        p for p in involutions if all(p[h[v]] == h[p[v]] for v in range(n))]
 
 
 def test_automorphisms_of_a_long_path_need_no_pass_over_all_orders():
     # the brute-force filter would walk 12! orders; the search prunes at the
     # first vertex whose degree or earlier adjacency disagrees
-    assert automorphisms(path_graph(12)) == [tuple(range(12)), tuple(range(11, -1, -1))]
+    assert list(automorphisms(path_graph(12))) == [tuple(range(12)), tuple(range(11, -1, -1))]
 
 
 def test_involutive_automorphisms_of_an_edgeless_graph_skip_the_other_orders():
-    # 10! = 3 628 800 automorphisms, of which 9 496 are involutions
-    found = automorphisms(Graph(10), involutive=True)
+    # 10! = 3 628 800 automorphisms, of which 9 496 are involutions, and
+    # 2 * 764 of those commute with (0 1): the involutions of S_2 x S_8
+    found = list(automorphisms(Graph(10), involutive=True))
     assert len(found) == 9496 and found[:2] == [tuple(range(10)), (*range(8), 9, 8)]
+    swap = (1, 0, *range(2, 10))
+    assert sum(1 for _ in automorphisms(Graph(10), involutive=True, commuting=[swap])) == 1528
 
 
 def test_greedy_k3_needs_three():
