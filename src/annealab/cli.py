@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dynamics import IntegratorError
 from .experiments import (
     BACKENDS,
     FIELD_TYPES,
@@ -184,7 +185,8 @@ def cli_entry(argv) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (OSError, ValueError, SpectrumError, MemoryError) as e:  # ConfigError, ScheduleError too
+    # ConfigError and ScheduleError are ValueErrors
+    except (OSError, ValueError, SpectrumError, IntegratorError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

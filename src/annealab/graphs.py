@@ -97,15 +97,15 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def automorphisms(g: Graph, involutive: bool = False,
-                  commuting: Sequence[tuple[int, ...]] = ()) -> Iterator[tuple[int, ...]]:
+def automorphisms(g: Graph, commuting: Sequence[tuple[int, ...]] | None = None
+                  ) -> Iterator[tuple[int, ...]]:
     """The vertex permutations p (v goes to p[v]) that map g's edge set onto
     itself, yielded in lexicographic order, the identity first; with
-    involutive, only those with p[p[v]] == v; with commuting, involutions the
-    caller may add to between yields, only those that commute with each. A
+    commuting, a sequence the caller may add to between yields, only the
+    involutions (p[p[v]] == v) that commute with each of its maps. A
     depth-first search picks p[0], p[1], ... in increasing order and drops a
     partial map at the first vertex whose degree, or whose adjacency to an
-    earlier vertex, differs from its image's, or, for involutions, whose image
+    earlier vertex, differs from its image's, or, with commuting, whose image
     is an earlier vertex not mapped to it or a later one while an earlier
     vertex maps to it, or where p h differs from h p for an h of commuting. An
     edgeless 10-vertex graph has 10! automorphisms but 9 496 involutive ones,
@@ -122,13 +122,13 @@ def automorphisms(g: Graph, involutive: bool = False,
             yield tuple(p)
             return
         for w in range(n):
-            if involutive and (p[w] != v if w < v else v in p):
+            if commuting is not None and (p[w] != v if w < v else v in p):
                 continue
             # p h = h p at u = v and at u = h[v], once both are mapped
             if (w not in p and deg[w] == deg[v]
                     and all(adjacent[v][u] == adjacent[w][p[u]] for u in range(v))
                     and all(h[v] > v or (w if h[v] == v else p[h[v]]) == h[w]
-                            for h in commuting)):
+                            for h in commuting or ())):
                 p.append(w)
                 yield from extend(v + 1)
                 p.pop()

@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coloring_qubo import QuboProblem
@@ -85,37 +86,32 @@ class ProblemDiagonal:
         color swaps (0 1), (2 3), ... at every vertex, then the source graph's
         involutive automorphisms in lexicographic order, each one that keeps
         the diagonal, commutes with those taken and is not in their group.
-        Empty without a source graph. The automorphism search skips every
-        involution that does not commute with those taken, and group
-        membership is decided on the permutations of the n bits, so only a
-        candidate that passes both is tabulated over the 2^n states."""
+        Empty without a source graph. Group membership is decided on vertex
+        maps: a color swap commutes with every vertex map and is never in the
+        group of the swaps before it, and an automorphism is in the group
+        exactly when it is in that of the vertex maps taken. The automorphism
+        search skips every involution that does not commute with those, so
+        only a candidate outside their group is tabulated over the 2^n
+        states."""
         q = self.problem
         if q.source is None:
             return ()
         keep_v, keep_c = tuple(range(q.source.n_vertices)), tuple(range(q.k))
         swaps = [(keep_v, tuple(c ^ 1 if c >> 1 == pair else c for c in keep_c))
                  for pair in range(q.k // 2)]
-        # the vertex maps taken; a color swap and a vertex map always commute,
-        # and two candidates commute when their vertex maps do
-        taken = []
-        flips = ((p, keep_c) for p in automorphisms(q.source, involutive=True, commuting=taken))
+        # the vertex maps taken and their group
+        taken, group = [], {keep_v}
+        flips = ((p, keep_c) for p in automorphisms(q.source, commuting=taken) if p not in group)
         index = {(v, c): i for v, c, i in q.var_map}
         x = np.arange(self.values.size)
-        gens, group = [], {tuple(range(q.n_vars))}
-        # each candidate moves the var_map bit of (v, c) to that of (to_v[v], to_c[c])
+        gens = []
         for to_v, to_c in chain(swaps, flips):
-            moves = [(i, index[to_v[v], to_c[c]]) for v, c, i in q.var_map]
-            perm = list(range(q.n_vars))
-            for i, j in moves:
-                perm[i] = j
-            perm = tuple(perm)
-            if perm in group:
-                continue
-            g = sum(((x >> i) & 1) << j for i, j in moves)
+            # the var_map bit of (v, c) moves to that of (to_v[v], to_c[c])
+            g = sum(((x >> i) & 1) << index[to_v[v], to_c[c]] for v, c, i in q.var_map)
             if np.array_equal(self.values[g], self.values):
                 gens.append(g)
                 taken.append(to_v)
-                group |= {tuple(e[j] for j in perm) for e in group}
+                group |= {tuple(e[u] for u in to_v) for e in group}
         return tuple(gens)
 
     @cached_property
@@ -206,11 +202,9 @@ class ProblemDiagonal:
         if q.source is None:
             return False
         g = q.source
-        laplacian = np.diag(np.array(g.degrees(), dtype=np.float64))
-        for u, v in g.edges:
-            laplacian[u, v] = laplacian[v, u] = -1.0
-        # the Laplacian's kernel has one dimension per connected component
-        components = g.n_vertices - np.linalg.matrix_rank(laplacian)
+        u, v = np.array(g.edges, dtype=np.int32).reshape(-1, 2).T
+        components, _ = connected_components(
+            csr_array((np.ones(u.size), (u, v)), shape=(g.n_vertices,) * 2), directed=False)
         want, rest = divmod(1 << len(self.symmetries), math.factorial(q.k) ** components)
         return rest == 0 and sum(1 for _ in islice(automorphisms(g), want + 1)) == want
 

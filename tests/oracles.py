@@ -6,14 +6,16 @@ that keep a diagonal, the coloring cost in its defining penalty form, the
 dense matrix of H(s), its matrix-free product with a state and its energy
 expectation, small named graphs, the time-mirrored anneal path, the
 second-order midpoint rule that evolve stepped with before its CF4:2 steps,
-and the per-qubit driver loop with the byte-level helpers that compare
-against it.
+a Runge-Kutta ODE solve of the same equation that shares no stepping with
+evolve, and the per-qubit driver loop with the byte-level helpers that
+compare against it.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from annealab.coloring_qubo import QuboProblem, index_to_bits
 from annealab.dynamics import DRIFT_BOUND, IntegratorError, QuantumState, _chebyshev_exp
@@ -138,6 +140,36 @@ def evolve_midpoint(state, path, sched, diag, accuracy=0.002, time_scale=1.0):
         psi = psi / norm
         drift_total += drift
     return QuantumState(n, psi, norm_drift=drift_total)
+
+
+def evolve_reference(state, path, sched, diag, time_scale=1.0, rtol=1e-12, atol=1e-14):
+    """i dpsi/dt = H(s(t)) psi integrated by scipy's DOP853, independent of
+    evolve's stepping and of its Chebyshev series. The solve restarts at
+    every path waypoint and at every schedule row a segment crosses, so on
+    each piece it integrates a(s(t)) and b(s(t)) are the linear
+    interpolations of their values at the piece's ends. It shares only
+    driver_apply with evolve."""
+    psi = state.amplitudes.astype(np.complex128)
+    # dpsi/dt = a(t) (-i ts diag) psi + b(t) (-i ts) driver psi
+    problem, driver = -1j * time_scale * diag.values, -1j * time_scale
+    for t0, t1, s0, s1 in path.segments():
+        rows = sched.s_grid[(sched.s_grid > min(s0, s1)) & (sched.s_grid < max(s0, s1))]
+        knots = np.sort(np.concatenate(([t0, t1], t0 + (rows - s0) / (s1 - s0) * (t1 - t0))))
+        s = s0 + (s1 - s0) * (knots - t0) / (t1 - t0)
+        ends = zip(knots[:-1], knots[1:], sched.a(s[:-1]), sched.a(s[1:]),
+                   sched.b(s[:-1]), sched.b(s[1:]))
+        for u0, u1, a0, a1, b0, b1 in ends:
+
+            def rhs(t, y):
+                w = (t - u0) / (u1 - u0)
+                return ((a0 + w * (a1 - a0)) * problem * y
+                        + (b0 + w * (b1 - b0)) * driver * driver_apply(y))
+
+            sol = solve_ivp(rhs, (u0, u1), psi, method="DOP853", rtol=rtol, atol=atol)
+            if not sol.success:
+                raise RuntimeError(f"reference solve failed on [{u0}, {u1}]: {sol.message}")
+            psi = sol.y[:, -1]
+    return QuantumState(diag.n_qubits, psi)
 
 
 def dense_hamiltonian(s, sched, diag):

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from annealab import svmc
+from annealab import dynamics, svmc
 from annealab.cli import build_parser, cli_entry
 from annealab.experiments import ExperimentConfig
 from annealab.graphs import Graph, generate_er
@@ -183,6 +183,19 @@ def test_anneal_refuses_a_run_it_cannot_finish(tmp_path, capsys, argv, message):
                              "--out", out], capsys)
     assert (code, stdout) == (1, "")
     assert err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_anneal_reports_an_integrator_failure_as_an_error(tmp_path, capsys, monkeypatch):
+    # a bound no norm can meet makes the first evolve of the forward stage fail
+    monkeypatch.setattr(dynamics, "DRIFT_BOUND", -1.0)
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    graph, out = tmp_path / "p3.json", tmp_path / "run"
+    Graph(3, ((0, 1), (1, 2))).save(graph)
+    code, stdout, err = run(["anneal", "--graph", graph, "--k", 2, "--backend", "statevector",
+                             "--forward-shots", 2, "--max-cycles", 1, "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: norm drift")
     assert not out.exists()
 
 

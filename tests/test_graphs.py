@@ -82,10 +82,10 @@ def test_automorphisms_match_the_brute_force_filter(n, p, seed):
     every = brute_force_automorphisms(g)
     assert list(automorphisms(g)) == every
     involutions = [p for p in every if all(p[w] == v for v, w in enumerate(p))]
-    assert list(automorphisms(g, involutive=True)) == involutions
+    assert list(automorphisms(g, commuting=[])) == involutions
     # commuting with the last involution, the identity if it is the only one
     h = involutions[-1]
-    assert list(automorphisms(g, involutive=True, commuting=[h])) == [
+    assert list(automorphisms(g, commuting=[h])) == [
         p for p in involutions if all(p[h[v]] == h[p[v]] for v in range(n))]
 
 
@@ -98,10 +98,10 @@ def test_automorphisms_of_a_long_path_need_no_pass_over_all_orders():
 def test_involutive_automorphisms_of_an_edgeless_graph_skip_the_other_orders():
     # 10! = 3 628 800 automorphisms, of which 9 496 are involutions, and
     # 2 * 764 of those commute with (0 1): the involutions of S_2 x S_8
-    found = list(automorphisms(Graph(10), involutive=True))
+    found = list(automorphisms(Graph(10), commuting=[]))
     assert len(found) == 9496 and found[:2] == [tuple(range(10)), (*range(8), 9, 8)]
     swap = (1, 0, *range(2, 10))
-    assert sum(1 for _ in automorphisms(Graph(10), involutive=True, commuting=[swap])) == 1528
+    assert sum(1 for _ in automorphisms(Graph(10), commuting=[swap])) == 1528
 
 
 def test_greedy_k3_needs_three():

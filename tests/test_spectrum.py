@@ -495,6 +495,26 @@ def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
     assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("order", [range(7), (5, 2, 6, 0, 4, 1, 3)], ids=["union", "relabelled"])
+def test_a_union_past_the_dense_limit_has_the_sums_of_its_parts_levels(order):
+    # P3 and P4 side by side at k = 2: 14 qubits, so every sector takes the
+    # iterative solve, and two components, so the group of the color swap,
+    # P3's reflection and P4's is not every symmetry and each sector gets the
+    # extra single-level solve. H(s) is the sum of the parts' commuting
+    # Hamiltonians, so its m lowest levels are the m lowest sums of a level
+    # of P3 and one of P4, each from the dense solve
+    edges = ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6))
+    union = build_problem_diagonal(build_coloring_qubo(
+        Graph(7, tuple((order[u], order[v]) for u, v in edges)), 2))
+    assert len(union.symmetries) == 3 and len(union.sectors) == 8
+    assert union.n_qubits > spectrum.DENSE_QUBIT_LIMIT and not union.multiplicity_free
+    p3, p4 = (build_problem_diagonal(build_coloring_qubo(path_graph(n), 2)) for n in (3, 4))
+    for s in (0.3, 0.5):
+        sums = np.add.outer(lowest_eigenvalues(s, LIN, p3, 8), lowest_eigenvalues(s, LIN, p4, 8))
+        want = np.sort(sums.ravel())[:8]
+        assert np.allclose(lowest_eigenvalues(s, LIN, union, 8), want, rtol=0.0, atol=1e-9)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), k=st.integers(1, 4), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
        s=st.floats(0.01, 0.99))
