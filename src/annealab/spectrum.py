@@ -35,8 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csc_array, csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coloring_qubo import QuboProblem
@@ -202,9 +201,12 @@ class ProblemDiagonal:
         if q.source is None:
             return False
         g = q.source
-        u, v = np.array(g.edges, dtype=np.int32).reshape(-1, 2).T
-        components, _ = connected_components(
-            csr_array((np.ones(u.size), (u, v)), shape=(g.n_vertices,) * 2), directed=False)
+        root = list(range(g.n_vertices))  # union-find over the edges
+        for u, v in g.edges:
+            while root[u] != u or root[v] != v:
+                u, v = root[u], root[v]
+            root[u] = v
+        components = sum(r == x for x, r in enumerate(root))
         want, rest = divmod(1 << len(self.symmetries), math.factorial(q.k) ** components)
         return rest == 0 and sum(1 for _ in islice(automorphisms(g), want + 1)) == want
 
