@@ -30,6 +30,18 @@ the 2-norm, and the factors after it are unitary, so one evolve's truncation
 sums to at most (number of exponentials) * 1e-15. Past alpha the Bessel
 coefficients decay faster than exponentially, so m is a few orders past alpha.
 
+Every generator of ProblemDiagonal.symmetries is a bit permutation that
+keeps the diagonal, so it commutes with H(s), and a start it fixes keeps
+every amplitude equal along each orbit of their group: the state stays in
+the trivial sector, spanned by |O> = |O|^-1/2 sum_{y in O} |y> over the
+orbits O of ProblemDiagonal.orbits (Sandvik, AIP Conf. Proc. 1297, 135
+(2010)). The driver ground state is such a start, so a forward anneal runs
+there, on 3-6 times fewer amplitudes for the default problems, where the
+group has at least two generators and n > GATHER_BITS; elsewhere (reverse
+anneals, groups of order 2, small problems) the full space's arithmetic runs
+unchanged. The plan, the factors, the spectral bounds and the drift check
+are the same on either space.
+
 The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
 norm drifts past DRIFT_BOUND raises IntegratorError instead of being
 renormalized.
@@ -52,7 +64,7 @@ from scipy.special import jv
 
 from .coloring_qubo import Sample, bits_to_index, index_to_bits
 from .schedules import AnnealPath, Schedule
-from .spectrum import ProblemDiagonal, driver_apply
+from .spectrum import GATHER_BITS, GATHER_BLOCK, Orbits, ProblemDiagonal, driver_apply
 
 DRIFT_BOUND = 1e-6
 # forward-anneal time scale calibrated so the P5/k=2 linear anneal leaves
@@ -130,8 +142,10 @@ def _bessel_series(alpha: float) -> np.ndarray:
     return bessel[:bessel.size - int(np.count_nonzero(2.0 * tails <= BESSEL_TAIL))]
 
 
-def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):
-    """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
+def _chebyshev_exp(diag_vals, flips, a, b, lo, hi, psi, dt):
+    """exp(-i H dt) psi for H = a*diag + b*flips with spectrum in [lo, hi]:
+    flips(x) returns sum_j sigma^x_j x in a new array, in the space of psi
+    and diag_vals (the full space's `driver_apply`, or `_symmetric_flips`)."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
     alpha = radius * dt
@@ -147,7 +161,7 @@ def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):
     def hmv(x, out):
         np.multiply(shifted, x, out=out)
         if b != 0.0:
-            hx = driver_apply(x)
+            hx = flips(x)
             out += np.multiply(scale, hx, out=hx)
         return out
 
@@ -167,6 +181,30 @@ def _chebyshev_exp(diag_vals, a, b, lo, hi, psi, dt):
         acc += np.multiply(coefs[k], t_next, out=t_prev)
         t_prev, t_cur, t_next = t_cur, t_next, t_prev
     return np.multiply(np.exp(-1j * center * dt), acc, out=acc)
+
+
+def _symmetric_flips(orbits: Orbits, n: int):
+    """sum_j sigma^x_j in the trivial sector of the symmetries' group, on
+    coordinates c in the orbit basis |O> = |O|^-1/2 sum_{y in O} |y>: with
+    w = c / sqrt|O|, (X c)[L] = sqrt|O_L| sum_j w[row(L ^ 2^j)]. Each sum
+    runs over j = 0..n-1 from +0.0, gathered GATHER_BLOCK orbits at a time
+    as in driver_apply."""
+    root = np.sqrt(orbits.sizes)
+    bits, labels = (1 << np.arange(n))[:, None], orbits.labels
+    # block i, row j: the rows of block i's labels with bit j flipped, as
+    # contiguous intp arrays, which numpy gathers by several times faster
+    # than a strided or int32 index
+    starts = range(0, labels.size, GATHER_BLOCK)
+    blocks = [orbits.row[labels[r:r + GATHER_BLOCK] ^ bits].astype(np.intp) for r in starts]
+
+    def flips(c):
+        w = c / root
+        out = np.empty_like(w)
+        for r, block in zip(starts, blocks):
+            np.add.reduce(w[block], axis=0, initial=0.0, out=out[r:r + GATHER_BLOCK])
+        return np.multiply(root, out, out=out)
+
+    return flips
 
 
 class _Memo(OrderedDict):
@@ -265,7 +303,14 @@ def evolve(
 ) -> QuantumState:
     """Propagate along the path. Deterministic; returns a read-only unit state
     whose norm_drift field reports the accumulated pre-renormalization drift.
-    Equal inputs return the first call's memoized state without replanning."""
+    Equal inputs return the first call's memoized state without replanning.
+
+    Past GATHER_BITS qubits, a start that every one of at least two
+    generators of diag.symmetries fixes exactly (the driver ground state,
+    say) never leaves the trivial sector of their group, which H(s)
+    commutes with, so it is propagated there, one amplitude per orbit, and
+    expanded to the full space at the end. Below those limits the smaller
+    space does not pay for its gathers."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
@@ -275,13 +320,21 @@ def evolve(
     steps_per_segment = plan(path, sched, diag, accuracy, time_scale)
     dmin, dmax = diag.bounds
     n = diag.n_qubits
-    psi = state.amplitudes
+    psi, values, flips = state.amplitudes, diag.values, driver_apply
+    gens = diag.symmetries if n > GATHER_BITS else ()
+    symmetric = len(gens) >= 2 and all(np.array_equal(psi[g], psi) for g in gens)
+    if symmetric:
+        # the state's coordinates in the trivial sector's orbit basis
+        orbits = diag.orbits
+        root = np.sqrt(orbits.sizes)
+        psi, values = root * psi[orbits.labels], values[orbits.labels]
+        flips = _symmetric_flips(orbits, n)
     drift_total = 0.0
     for (t0, t1, s0, s1), steps in zip(path.segments(), steps_per_segment):
         dt = (t1 - t0) * time_scale / steps
         for a, b in _factors(sched, s0, s1, steps):
             lo, hi = sorted((a * dmin, a * dmax))
-            psi = _chebyshev_exp(diag.values, a, b, lo - abs(b) * n, hi + abs(b) * n, psi, dt)
+            psi = _chebyshev_exp(values, flips, a, b, lo - abs(b) * n, hi + abs(b) * n, psi, dt)
         norm = float(np.linalg.norm(psi))
         drift = abs(norm - 1.0)
         if drift > DRIFT_BOUND:
@@ -289,6 +342,8 @@ def evolve(
                 f"norm drift {drift:.3e} exceeds {DRIFT_BOUND} on segment [{t0}, {t1}]")
         psi = psi / norm
         drift_total += drift
+    if symmetric:
+        psi = (psi / root)[orbits.row]
     final = QuantumState(n, psi, norm_drift=drift_total)
     final.amplitudes.flags.writeable = False
     _MEMO.put(key, final)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +56,19 @@ DEGENERACY_TOL = 1e-7
 
 class SpectrumError(RuntimeError):
     """Eigensolver failure or unusable spectrum table."""
+
+
+class Orbits(NamedTuple):
+    """The orbit table of ProblemDiagonal.orbits: `labels` are the orbits'
+    smallest states, ascending; for each basis state x, row[x] is the index
+    of x's orbit in `labels` and lift[x] the group element (a bit per
+    generator of ProblemDiagonal.symmetries) that takes x to its label;
+    sizes[i] is the size of orbit i."""
+
+    labels: np.ndarray
+    row: np.ndarray
+    sizes: np.ndarray
+    lift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,26 @@ class ProblemDiagonal:
         return tuple(gens)
 
     @cached_property
+    def orbits(self) -> Orbits:
+        """The orbits of the group of symmetries on the basis states, labelled
+        by their smallest state, in label order. Built with one pass per
+        generator g: label = min(label, label[g]). After the passes over the
+        first i generators, label[x] is the smallest state that their group
+        takes x to, and lift[x] an element of that group taking x there: where
+        label[g[x]] is smaller, x takes g[x]'s label and its element times g
+        (the group is abelian, and g is not in the group of those before)."""
+        label = np.arange(self.values.size)
+        lift = np.zeros(label.size, dtype=np.int32)
+        for i, g in enumerate(self.symmetries):
+            moved = label[g]
+            lower = moved < label
+            label = np.where(lower, moved, label)
+            lift = np.where(lower, lift[g] | (1 << i), lift)
+        is_label = label == np.arange(label.size)
+        row = (np.cumsum(is_label, dtype=np.int32) - 1)[label]
+        return Orbits(np.flatnonzero(is_label), row, np.bincount(row), lift)
+
+    @cached_property
     def sectors(self) -> tuple[csc_array, ...]:
         """Per nonempty sector of the group of symmetries (see the module
         docstring), H(s) in it at a = b = 1 as a compressed-column matrix
@@ -125,36 +159,25 @@ class ProblemDiagonal:
 
         Element t of the group is the product of the generators whose bit is
         set in t, and character c takes the value (-1)^popcount(c & t) on
-        it. The group is walked one element at a time, never held whole.
-        Every element is an involution, so an element that maps z to its
-        orbit's label L maps L to z, and with S the stabilizer of L, the sum
-        of chi(g) over the g with g L = z is chi of one of them times |S| if
-        chi is 1 on all of S, and 0 otherwise."""
-        x = np.arange(self.values.size)
-        gens = self.symmetries
+        it. Every element is an involution, so the element `orbits.lift[y]`
+        that maps y to its orbit's label L maps L to y, and with S the
+        stabilizer of L, the sum of chi(g) over the g with g L = y is
+        chi(lift[y]) times |S| if chi is 1 on all of S, and 0 otherwise. Which
+        element lifts y does not matter: two differ by an element of S. The
+        stabilizers are found by walking the group over the labels, one
+        element at a time, never holding it whole."""
+        gens, orbits = self.symmetries, self.orbits
         size = 1 << len(gens)
-
-        def images(z):
-            """(t, element t applied to z) for every t, in Gray-code order,
-            which changes one generator per step."""
-            yield 0, z
-            for step in range(1, size):
-                z = gens[(step & -step).bit_length() - 1][z]
-                yield step ^ (step >> 1), z
-
-        # orbit[z]: the smallest state of z's orbit; lift[z]: an element taking z there
-        orbit, lift = x.copy(), np.zeros(x.size, dtype=np.int32)
-        for t, e in images(x):
-            lower = e < orbit
-            orbit[lower], lift[lower] = e[lower], t
-        reps = x[orbit == x]
-        # fixed[t, i]: element t fixes reps[i]; few distinct stabilizers
+        reps, lift, rep_of = orbits.labels, orbits.lift, orbits.row
+        # fixed[t, i]: element t fixes reps[i]; few distinct stabilizers. The
+        # elements are walked in Gray-code order, one generator per step
         fixed = np.zeros((size, reps.size), dtype=bool)
-        for t, e in images(reps):
-            fixed[t] = e == reps
+        fixed[0], z = True, reps
+        for step in range(1, size):
+            z = gens[(step & -step).bit_length() - 1][z]
+            fixed[step ^ (step >> 1)] = z == reps
         stabilizers, which = np.unique(fixed, axis=1, return_inverse=True)
         stabilizers, stab = stabilizers.astype(np.float64), fixed.sum(axis=0)
-        rep_of = (np.cumsum(orbit == x) - 1).astype(np.int32)[orbit]
         t = np.arange(size)
         n = self.n_qubits
         blocks = []

@@ -131,7 +131,7 @@ def evolve_midpoint(state, path, sched, diag, accuracy=0.002, time_scale=1.0):
             b = float(sched.b(smid))
             lo = a * dmin - b * n
             hi = a * dmax + b * n
-            psi = _chebyshev_exp(diag.values, a, b, lo, hi, psi, dt)
+            psi = _chebyshev_exp(diag.values, driver_apply, a, b, lo, hi, psi, dt)
         norm = float(np.linalg.norm(psi))
         drift = abs(norm - 1.0)
         if drift > DRIFT_BOUND:

@@ -1,7 +1,9 @@
 """Statevector propagation checks: exact invariants first, statistics second."""
 
+import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from annealab.dynamics import (
     sample,
 )
 from annealab.experiments import ExperimentConfig, instance
-from annealab.graphs import Graph, path_graph
+from annealab.graphs import Graph, generate_er, path_graph
 from annealab.schedules import (
     AnnealPath,
     make_forward_path,
@@ -34,7 +36,13 @@ from annealab.schedules import (
     resolve_schedule,
     reverse_distance_grid,
 )
-from annealab.spectrum import build_problem_diagonal, driver_apply
+from annealab.spectrum import (
+    GATHER_BITS,
+    GATHER_BLOCK,
+    ProblemDiagonal,
+    build_problem_diagonal,
+    driver_apply,
+)
 from oracles import (
     SPECIAL_ENTRIES,
     _driver_apply_loop,
@@ -199,8 +207,8 @@ def test_evolve_guards():
         evolve(driver_ground(10), make_forward_path(1.0), sched, diag, accuracy=0.0)
 
 
-def _chebyshev_exp_reference(diag_vals, a, b, lo, hi, psi, dt):
-    """exp(-i H dt) psi for H = a*diag + b*sum_j sigma^x_j with spectrum in [lo, hi]."""
+def _chebyshev_exp_reference(diag_vals, flips, a, b, lo, hi, psi, dt):
+    """exp(-i H dt) psi for H = a*diag + b*flips with spectrum in [lo, hi]."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
     alpha = radius * dt
@@ -216,7 +224,7 @@ def _chebyshev_exp_reference(diag_vals, a, b, lo, hi, psi, dt):
     def hmv(x):
         out = shifted * x
         if b != 0.0:
-            out += scale * driver_apply(x)
+            out += scale * flips(x)
         return out
 
     t_prev = psi.astype(np.complex128, copy=True)
@@ -245,8 +253,8 @@ def test_chebyshev_series_matches_reference_term_rule(data, n, a, b, dt):
     norm = np.linalg.norm(psi)
     psi = psi / norm if norm > 0 else basis_state("0" * n).amplitudes
     lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
-    got = _chebyshev_exp(vals, a, b, lo, hi, psi, dt)
-    want = _chebyshev_exp_reference(vals, a, b, lo, hi, psi, dt)
+    got = _chebyshev_exp(vals, driver_apply, a, b, lo, hi, psi, dt)
+    want = _chebyshev_exp_reference(vals, driver_apply, a, b, lo, hi, psi, dt)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -326,7 +334,7 @@ def test_chebyshev_series_matches_unbuffered_recurrence_byte_for_byte(data, n, a
     vals = np.array(data.draw(entries(5.0)))
     psi = _state(data.draw(entries(1.0)), data.draw(entries(1.0)))
     lo, hi = a * vals.min() - b * n, a * vals.max() + b * n
-    got = _chebyshev_exp(vals, a, b, lo, hi, psi, dt)
+    got = _chebyshev_exp(vals, driver_apply, a, b, lo, hi, psi, dt)
     assert_same_bytes(got, _chebyshev_exp_unbuffered(vals, a, b, lo, hi, psi, dt))
 
 
@@ -530,9 +538,9 @@ def test_anneal_scores_each_draw_from_the_diagonal():
 ], ids=["forward", "reverse"])
 def test_chebyshev_work_is_one_matvec_per_kept_order(memo, monkeypatch, path, time_scale,
                                                      matvecs):
-    # the sweep problem on steep: one driver matvec for every order past J_0
-    # of every exponential's series, and a pinned total, so a change to the
-    # series length shows here
+    # the sweep problem on steep: one matvec of the operator each series is
+    # handed for every order past J_0 of every exponential's series, and a
+    # pinned total, so a change to the series length shows here
     diag, sched = _sweep_problem(), resolve_schedule("steep")
     orders, calls = [], []
 
@@ -541,12 +549,14 @@ def test_chebyshev_work_is_one_matvec_per_kept_order(memo, monkeypatch, path, ti
         orders.append(out.size - 1)
         return out
 
-    def matvec(x):
-        calls.append(x.size)
-        return driver_apply(x)
+    def counted(diag_vals, flips, *args):
+        def matvec(x):
+            calls.append(x.size)
+            return flips(x)
+        return _chebyshev_exp(diag_vals, matvec, *args)
 
     monkeypatch.setattr(dynamics, "_bessel_series", series)
-    monkeypatch.setattr(dynamics, "driver_apply", matvec)
+    monkeypatch.setattr(dynamics, "_chebyshev_exp", counted)
     start = (driver_ground(6) if path.kind == "forward" else
              basis_state(index_to_bits(int(np.argmin(diag.values)), 6)))
     evolve(start, path, sched, diag, time_scale=time_scale)
@@ -598,3 +608,95 @@ def test_the_ode_reference_agrees_with_itself_at_a_looser_tolerance(s_prime, sch
     _, tight = _reference_run("K3", schedule, s_prime)
     _, loose = _reference_run("K3", schedule, s_prime, rtol=1e-10)
     assert _tv(tight, loose) <= 3e-9
+
+
+def _with_and_without_symmetries(q):
+    """The diagonal of q, and that of the same QUBO without its source graph,
+    which has no symmetries, so every evolve on it runs in the full space."""
+    return ProblemDiagonal(q), ProblemDiagonal(dataclasses.replace(q, source=None))
+
+
+@pytest.fixture
+def sector_matvecs(monkeypatch):
+    """Sizes of the inputs to every trivial-sector operator evolve builds."""
+    calls, build = [], dynamics._symmetric_flips
+
+    def spy(orbits, n):
+        flips = build(orbits, n)
+
+        def counted(c):
+            calls.append(c.size)
+            return flips(c)
+        return counted
+
+    monkeypatch.setattr(dynamics, "_symmetric_flips", spy)
+    return calls
+
+
+@pytest.mark.parametrize("time_scale", [SLOW_TIME_SCALE, 0.02])
+@pytest.mark.parametrize("schedule", ["linear", "steep"])
+@pytest.mark.parametrize("graph, k", [("P5", 2), ("K3", 3), ("P6 and the chord (0, 2)", 2)])
+def test_forward_anneals_in_the_symmetric_sector_match_the_full_space(
+        memo, monkeypatch, sector_matvecs, graph, k, schedule, time_scale):
+    g = {"P5": path_graph(5), "K3": complete_graph(3),
+         "P6 and the chord (0, 2)": Graph(6, path_graph(6).edges + ((0, 2),))}[graph]
+    sym, full = _with_and_without_symmetries(build_coloring_qubo(g, k))
+    start, path = driver_ground(sym.n_qubits), make_forward_path(100.0)
+    sched = resolve_schedule(schedule)
+    got = evolve(start, path, sched, sym, time_scale=time_scale)
+    assert set(sector_matvecs) == {sym.orbits.labels.size}
+    # the same memo key: a fresh memo makes the full space run
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    want = evolve(start, path, sched, full, time_scale=time_scale)
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["basis-state start", "group of order 2", "6 qubits"])
+def test_evolve_keeps_the_full_space_where_the_sector_does_not_pay(memo, monkeypatch,
+                                                                  sector_matvecs, case):
+    # a start some generator moves, a group with one generator, and a problem
+    # of GATHER_BITS qubits each run the full space's arithmetic bit for bit
+    forward, reverse = (make_forward_path(100.0), 0.02), (make_reverse_path(0.44, 10.0), 1.0)
+    q, (path, time_scale) = {
+        "basis-state start": (build_coloring_qubo(path_graph(5), 2), reverse),
+        "group of order 2": (build_coloring_qubo(generate_er(6, 0.5, 15), 2), forward),
+        "6 qubits": (build_coloring_qubo(path_graph(3), 2), forward),
+    }[case]
+    sym, full = _with_and_without_symmetries(q)
+    n, gens = sym.n_qubits, sym.symmetries
+    start = basis_state("0110100101") if case == "basis-state start" else driver_ground(n)
+    fixed = all(np.array_equal(start.amplitudes[g], start.amplitudes) for g in gens)
+    assert (fixed, len(gens) >= 2, n > GATHER_BITS).count(False) == 1
+    sched = resolve_schedule("steep")
+    got = evolve(start, path, sched, sym, time_scale=time_scale)
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    want = evolve(start, path, sched, full, time_scale=time_scale)
+    assert_same_bytes(got.amplitudes, want.amplitudes)
+    assert sector_matvecs == []
+
+
+def test_symmetric_flips_are_the_driver_on_symmetric_states():
+    # P7 at k = 2: 14 qubits, 4 224 orbits, so two gather blocks
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
+    labels, row, sizes, _ = diag.orbits
+    assert labels.size > GATHER_BLOCK
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(labels.size) + 1j * rng.standard_normal(labels.size)
+    full = (c / np.sqrt(sizes))[row]
+    want = driver_apply(full)[labels] * np.sqrt(sizes)
+    flips = dynamics._symmetric_flips(diag.orbits, diag.n_qubits)
+    assert np.max(np.abs(flips(c) - want)) <= 1e-12
+
+
+def test_symmetric_flips_allocate_two_sector_states_and_one_gather_block():
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
+    n = diag.n_qubits
+    flips = dynamics._symmetric_flips(diag.orbits, n)
+    c = np.random.default_rng(0).standard_normal(diag.orbits.labels.size).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        flips(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * c.nbytes + n * GATHER_BLOCK * c.itemsize + (16 << 10)

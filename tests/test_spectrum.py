@@ -243,6 +243,26 @@ def test_symmetries_are_commuting_involutions_that_keep_the_diagonal(data, k, p,
     assert sum(h.shape[0] for h in diag.sectors) == dim
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_orbit_table_labels_each_state_by_its_orbit_minimum(data, k, p, seed):
+    # against the whole group, element t the product of the generators whose
+    # bit is set in t
+    g = generate_er(data.draw(st.integers(1, 12 // k), label="n_vertices"), p, seed)
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    dim = 1 << diag.n_qubits
+    x = np.arange(dim)
+    group = np.array(_group(diag.symmetries, dim))
+    labels, row, sizes, lift = diag.orbits
+    smallest = group.min(axis=0)
+    want_labels, want_sizes = np.unique(smallest, return_counts=True)
+    assert np.array_equal(labels, want_labels) and np.array_equal(labels[row], smallest)
+    assert np.array_equal(sizes, want_sizes) and sizes.sum() == dim
+    # Burnside: the orbit count is the mean number of states an element fixes
+    assert labels.size * len(group) == np.count_nonzero(group == x)
+    assert np.array_equal(group[lift, x], smallest)
+
+
 def test_relabelled_p5_finds_the_color_swap_and_the_reflection():
     relabel = [3, 0, 4, 1, 2]
     g = Graph(5, tuple((relabel[v], relabel[v + 1]) for v in range(4)))
