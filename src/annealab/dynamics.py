@@ -36,11 +36,11 @@ every amplitude equal along each orbit of their group: the state stays in
 the trivial sector, spanned by |O> = |O|^-1/2 sum_{y in O} |y> over the
 orbits O of ProblemDiagonal.orbits (Sandvik, AIP Conf. Proc. 1297, 135
 (2010)). The driver ground state is such a start, so a forward anneal runs
-there, on 3-6 times fewer amplitudes for the default problems, where the
-group has at least two generators and n > GATHER_BITS; elsewhere (reverse
-anneals, groups of order 2, small problems) the full space's arithmetic runs
-unchanged. The plan, the factors, the spectral bounds and the drift check
-are the same on either space.
+there, on 3-6 times fewer amplitudes for the default problems, where
+n > GATHER_BITS; elsewhere (reverse anneals, problems without symmetries,
+small problems) the full space's arithmetic runs unchanged. The plan, the
+factors, the spectral bounds and the drift check are the same on either
+space.
 
 The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
 norm drifts past DRIFT_BOUND raises IntegratorError instead of being
@@ -48,8 +48,9 @@ renormalized.
 
 `evolve` is deterministic, and chained reverse anneals keep re-evolving the
 same input state, so final states are memoized: an LRU keyed by a digest of
-every input the result depends on, bounded by MEMO_BYTES of amplitudes. The
-states it returns are read-only, so no caller can alter a cached entry.
+every input the result depends on, the space it runs in included, bounded by
+MEMO_BYTES of amplitudes. The states it returns are read-only, so no caller
+can alter a cached entry.
 """
 
 from __future__ import annotations
@@ -224,11 +225,13 @@ class _Memo(OrderedDict):
 _MEMO = _Memo()
 
 
-def _evolve_key(state, path, sched, diag, accuracy, time_scale) -> bytes:
-    """Digest of everything evolve's result depends on."""
+def _evolve_key(state, path, sched, diag, accuracy, time_scale, symmetric) -> bytes:
+    """Digest of everything evolve's result depends on: its inputs, and
+    whether it runs in the trivial sector, whose amplitudes differ from the
+    full space's in the last bits."""
     h = hashlib.blake2b(digest_size=20)
-    for arr in (diag.values, path.times, path.svals, sched.s_grid, sched.a_vals,
-                sched.b_vals, state.amplitudes, np.array([time_scale, accuracy], np.float64)):
+    for arr in (diag.values, path.times, path.svals, sched.s_grid, sched.a_vals, sched.b_vals,
+                state.amplitudes, np.array([time_scale, accuracy, symmetric], np.float64)):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr)
@@ -305,24 +308,24 @@ def evolve(
     whose norm_drift field reports the accumulated pre-renormalization drift.
     Equal inputs return the first call's memoized state without replanning.
 
-    Past GATHER_BITS qubits, a start that every one of at least two
-    generators of diag.symmetries fixes exactly (the driver ground state,
-    say) never leaves the trivial sector of their group, which H(s)
-    commutes with, so it is propagated there, one amplitude per orbit, and
-    expanded to the full space at the end. Below those limits the smaller
-    space does not pay for its gathers."""
+    Past GATHER_BITS qubits, a start that every generator of
+    diag.symmetries fixes exactly (the driver ground state, say) never
+    leaves the trivial sector of their group, which H(s) commutes with, so
+    it is propagated there, one amplitude per orbit, and expanded to the
+    full space at the end. At GATHER_BITS qubits or fewer the smaller space
+    does not pay for its gathers."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
-    key = _evolve_key(state, path, sched, diag, accuracy, time_scale)
+    n = diag.n_qubits
+    psi, values, flips = state.amplitudes, diag.values, driver_apply
+    gens = diag.symmetries if n > GATHER_BITS else ()
+    symmetric = bool(gens) and all(np.array_equal(psi[g], psi) for g in gens)
+    key = _evolve_key(state, path, sched, diag, accuracy, time_scale, symmetric)
     if key in _MEMO:
         _MEMO.move_to_end(key)
         return _MEMO[key]
     steps_per_segment = plan(path, sched, diag, accuracy, time_scale)
     dmin, dmax = diag.bounds
-    n = diag.n_qubits
-    psi, values, flips = state.amplitudes, diag.values, driver_apply
-    gens = diag.symmetries if n > GATHER_BITS else ()
-    symmetric = len(gens) >= 2 and all(np.array_equal(psi[g], psi) for g in gens)
     if symmetric:
         # the state's coordinates in the trivial sector's orbit basis
         orbits = diag.orbits
