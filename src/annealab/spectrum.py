@@ -20,9 +20,10 @@ sum_g chi(g) |g L>; it is zero, and the orbit drops out of that sector, when
 chi is -1 on an element fixing L. The union of the sectors' spectra is the
 spectrum of H(s), multiplicities included; each sector has about 2^-r of the
 rows, so the 2^r dense solves together cost about 4^-r as much as one of the
-full matrix, and past the dense limit each sector's iterative solve needs only
-about m / 2^r of the m lowest levels (Sandvik, AIP Conf. Proc. 1297, 135
-(2010)).
+full matrix, and each sector's iterative solve needs only about m / 2^r of
+the m lowest levels (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Which of the
+two solves a sector gets is decided by its own state count, not by the
+problem's qubit count (see lowest_eigenvalues).
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from .coloring_qubo import QuboProblem
 from .graphs import automorphisms
 from .schedules import Schedule
 
+# a sector of at most DENSE_SECTOR_STATES states is solved dense, a larger one
+# by ARPACK: the measured crossover (see lowest_eigenvalues)
+DENSE_SECTOR_STATES = 800
+# a sector of at most 2^DENSE_QUBIT_LIMIT states, the whole space of a
+# 12-qubit problem, is solved dense where ARPACK's start fails
 DENSE_QUBIT_LIMIT = 12
 QUBIT_CAP = 20
 # driver_apply gathers the flips of the low GATHER_BITS bits block by block,
@@ -314,11 +320,14 @@ def _lanczos_size(k: int) -> int:
 
 def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
     """The k lowest eigenpairs of the sector operator h orthogonal to the
-    orthonormal eigenvectors vecs of h, ascending, from ARPACK with up to
-    three deterministic seeded starts. Shifting vecs' levels past every level
-    of h leaves the lowest levels of the rest as the lowest of the operator,
-    so a copy of a degenerate level that an earlier solve missed is found."""
+    orthonormal eigenvectors vecs of h, ascending, from ARPACK with
+    deterministic seeded starts: one where h has at most 2^DENSE_QUBIT_LIMIT
+    states, and None if it fails, so that the dense solve takes over; up to
+    three past that. Shifting vecs' levels past every level of h leaves the
+    lowest levels of the rest as the lowest of the operator, so a copy of a
+    degenerate level that an earlier solve missed is found."""
     dim = h.shape[0]
+    dense_fallback = dim <= 1 << DENSE_QUBIT_LIMIT
     # h.T reads the columns as rows: the same symmetric operator, with a
     # faster matvec than compressed columns give
     op = rows = h.T
@@ -328,11 +337,15 @@ def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
         op = LinearOperator(h.shape, matvec=lambda x: rows @ x + vecs @ (shift * (vecs.T @ x)),
                             dtype=np.float64)
     last_residual = np.nan
-    for attempt in range(3):
-        v0 = np.random.default_rng(20_000 + attempt).standard_normal(dim)
+    for attempt in range(1 if dense_fallback else 3):
+        # Lanczos from one start reaches one copy of a level repeated within
+        # the sector, the start's projection on its eigenspace; once that copy
+        # is among vecs, the same start has no component on the other copies,
+        # so the seeds also count the vectors found
+        v0 = np.random.default_rng(20_000 + 3 * vecs.shape[1] + attempt).standard_normal(dim)
         try:
             # a start can stall on a level repeated within the sector; after
-            # dim restarts the next seed takes over
+            # dim restarts the dense solve or the next seed takes over
             vals, new = eigsh(op, k=k, which="SA", v0=v0, ncv=_lanczos_size(k), maxiter=dim)
             order = np.argsort(vals)
             return vals[order], new[:, order]
@@ -341,6 +354,8 @@ def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
                 part, vals_part = err.eigenvectors, err.eigenvalues
                 res = op @ part[:, 0] - vals_part[0] * part[:, 0]
                 last_residual = float(np.linalg.norm(res))
+    if dense_fallback:
+        return None
     raise SpectrumError(
         f"at s = {s:.6g}: extremal eigensolver failed to converge after 3 seeded "
         f"restarts (last residual norm {last_residual:.3e})"
@@ -365,17 +380,30 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     sector of diag.symmetries, the commuting involutions that leave the
     diagonal unchanged (see the module docstring), built once per diagonal,
     and the m lowest of all sectors' levels together are the m lowest levels
-    of H(s), degenerate copies included. Up to DENSE_QUBIT_LIMIT qubits, and
-    in a sector too small for the Lanczos basis, a dense partial
-    diagonalization gives a sector's m lowest levels. Otherwise ARPACK with
-    deterministic seeded restarts asks each of the S sectors for
-    ceil(m / S) + 2 levels; a sector whose highest level found is at or below
-    the merged m-th is asked for as many more, orthogonal to those found,
-    until no sector can hold one of the m lowest that is missing. Where a
-    symmetry outside the sectors' group can repeat a level within a sector
-    (diag.multiplicity_free is False), each sector also gets one more
-    single-level solve orthogonal to all it found, which finds any copy the
-    earlier ones missed.
+    of H(s), degenerate copies included. A sector of at most
+    DENSE_SECTOR_STATES states, or too small for the Lanczos basis, gets its
+    m lowest levels from a dense partial diagonalization. A larger one goes
+    through ARPACK with deterministic seeded starts, which asks each of the S
+    sectors for ceil(m / S) + 2 levels; a sector whose highest level found is
+    at or below the merged m-th is asked for as many more, orthogonal to
+    those found, until no sector can hold one of the m lowest that is
+    missing. Where a symmetry outside the sectors' group can repeat a level
+    within a sector (diag.multiplicity_free is False), each sector also gets
+    one more single-level solve orthogonal to all it found, which finds any
+    copy the earlier ones missed. Where ARPACK's start fails on a sector of
+    at most 2^DENSE_QUBIT_LIMIT states, as it can within about 1e-3 of s = 0
+    or 1, that sector is solved dense instead; a larger one gets three
+    seeded starts, then SpectrumError.
+
+    The crossover was measured sector by sector on 17 ER and complete graphs
+    at k = 1-4 (10-12 qubits, sectors of up to 1 312 states, m = 15 and 25,
+    s = 0.1-0.9 on the linear schedule; best of three, 2-core VM), counting
+    every ARPACK call a sector gets. The dense solve was faster in all 140
+    sectors below 384 states and ARPACK in 88 of 90 from 896. Summed over all
+    of them, a bound of 768-896 states took 12.0-12.1 s, against 13.8 s at
+    512, 15.4 s all dense and 16.6 s all ARPACK. ARPACK's first solve alone
+    breaks even near 400 states, but the re-asks and the extra single-level
+    solves about double a sector's ARPACK cost.
     """
     _check_request((s,), m, diag)
     dim = 1 << diag.n_qubits
@@ -398,10 +426,13 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
                 continue
             h = _sector_operator(a, b, h)
             ask = k if found.size == 0 or found[-1] <= mth else 1
-            if diag.n_qubits <= DENSE_QUBIT_LIMIT or found.size + _lanczos_size(ask) >= h.shape[0]:
+            pairs = None
+            if h.shape[0] > max(DENSE_SECTOR_STATES, found.size + _lanczos_size(ask)):
+                pairs = _extremal_pairs(s, h, ask, vecs[i])
+            if pairs is None:
                 levels[i], bounds[i] = _dense_levels(h, m), np.inf
                 continue
-            vals, new = _extremal_pairs(s, h, ask, vecs[i])
+            vals, new = pairs
             levels[i], vecs[i] = np.sort(np.concatenate((found, vals))), np.hstack((vecs[i], new))
             # a single-vector solve finds one copy of each level it reaches, so
             # where a symmetry can repeat a level within the sector only the

@@ -294,8 +294,8 @@ def test_p5_at_one_color_splits_by_its_reflection(monkeypatch):
     diag = build_problem_diagonal(build_coloring_qubo(path_graph(5), 1))
     assert len(diag.symmetries) == 1 and len(diag.sectors) == 2 and diag.multiplicity_free
     full = {s: np.linalg.eigvalsh(dense_hamiltonian(s, LIN, diag)) for s in (0.3, 0.6)}
-    for limit in (spectrum.DENSE_QUBIT_LIMIT, 0):
-        monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", limit)
+    for limit in (spectrum.DENSE_SECTOR_STATES, 0):
+        monkeypatch.setattr(spectrum, "DENSE_SECTOR_STATES", limit)
         for s, want in full.items():
             assert np.allclose(lowest_eigenvalues(s, LIN, diag, 32), want, rtol=0.0, atol=1e-9)
 
@@ -485,6 +485,25 @@ def test_sweep_refuses_a_negative_level_count():
         spectrum_sweep(LIN, diag, grid=[0.5], m=-3)
 
 
+def _force_eigsh(mp):
+    """Send every sector larger than the Lanczos basis through eigsh, and
+    keep the three seeded starts where one fails, with no dense fallback."""
+    mp.setattr(spectrum, "DENSE_SECTOR_STATES", 0)
+    mp.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+
+
+def _count_eigsh(mp) -> list[int]:
+    """Wrap spectrum's eigsh; the list it returns gets each call's k."""
+    calls = []
+
+    def counting_eigsh(op, k, **kw):
+        calls.append(k)
+        return eigsh(op, k, **kw)
+
+    mp.setattr(spectrum, "eigsh", counting_eigsh)
+    return calls
+
+
 def test_iterative_solver_gives_up_after_three_restarts(monkeypatch):
     starts = []
 
@@ -494,7 +513,7 @@ def test_iterative_solver_gives_up_after_three_restarts(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.array([0.0]), vecs)
 
     monkeypatch.setattr(spectrum, "eigsh", no_convergence)
-    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    _force_eigsh(monkeypatch)
     # P4's sectors hold 60 to 76 states, enough that the first goes through
     # eigsh; P2's are small enough to be solved dense
     diag = build_problem_diagonal(build_coloring_qubo(path_graph(4), 2))
@@ -510,24 +529,27 @@ def test_iterative_solver_matches_the_dense_solve_on_k3(monkeypatch):
     # the sector split dropped a copy and was off by 0.0998 at the 15th level
     diag = build_problem_diagonal(build_coloring_qubo(complete_graph(3), 3))
     dense = lowest_eigenvalues(0.5, LIN, diag, 15)
-    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    calls = _count_eigsh(monkeypatch)
+    _force_eigsh(monkeypatch)
     iterative = lowest_eigenvalues(0.5, LIN, diag, 15)
-    assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+    assert calls and np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("order", [range(7), (5, 2, 6, 0, 4, 1, 3)], ids=["union", "relabelled"])
 def test_a_union_past_the_dense_limit_has_the_sums_of_its_parts_levels(order):
-    # P3 and P4 side by side at k = 2: 14 qubits, so every sector takes the
-    # iterative solve, and two components, so the group of the color swap,
-    # P3's reflection and P4's is not every symmetry and each sector gets the
-    # extra single-level solve. H(s) is the sum of the parts' commuting
-    # Hamiltonians, so its m lowest levels are the m lowest sums of a level
-    # of P3 and one of P4, each from the dense solve
+    # P3 and P4 side by side at k = 2: 14 qubits in sectors of 1 440 to
+    # 2 784 states, so every sector takes the iterative solve, and two
+    # components, so the group of the color swap, P3's reflection and P4's
+    # is not every symmetry and each sector gets the extra single-level
+    # solve. H(s) is the sum of the parts' commuting Hamiltonians, so its m
+    # lowest levels are the m lowest sums of a level of P3 and one of P4,
+    # each from the dense solve
     edges = ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6))
     union = build_problem_diagonal(build_coloring_qubo(
         Graph(7, tuple((order[u], order[v]) for u, v in edges)), 2))
     assert len(union.symmetries) == 3 and len(union.sectors) == 8
     assert union.n_qubits > spectrum.DENSE_QUBIT_LIMIT and not union.multiplicity_free
+    assert min(h.shape[0] for h in union.sectors) > spectrum.DENSE_SECTOR_STATES
     p3, p4 = (build_problem_diagonal(build_coloring_qubo(path_graph(n), 2)) for n in (3, 4))
     for s in (0.3, 0.5):
         sums = np.add.outer(lowest_eigenvalues(s, LIN, p3, 8), lowest_eigenvalues(s, LIN, p4, 8))
@@ -546,29 +568,90 @@ def test_iterative_path_matches_the_dense_solve(data, k, p, seed, s):
     g = generate_er(data.draw(st.integers(1, 12 // k), label="n_vertices"), p, seed)
     diag = build_problem_diagonal(build_coloring_qubo(g, k))
     m = data.draw(st.integers(1, min(30, 1 << diag.n_qubits)), label="m")
-    dense = lowest_eigenvalues(s, LIN, diag, m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+        mp.setattr(spectrum, "DENSE_SECTOR_STATES", 1 << diag.n_qubits)
+        dense = lowest_eigenvalues(s, LIN, diag, m)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eigsh(mp)
+        _force_eigsh(mp)
         iterative = lowest_eigenvalues(s, LIN, diag, m)
+    # the first ask of a sector larger than the Lanczos basis goes through eigsh
+    ask = -(-m // len(diag.sectors)) + 2
+    assert bool(calls) == any(h.shape[0] > spectrum._lanczos_size(ask) for h in diag.sectors)
     assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
 
 
 def test_iterative_path_solves_a_sector_again_when_it_may_hold_more_of_the_lowest(monkeypatch):
     # P5 at k=2, m=15: each of the 4 sectors is asked for 6 levels, and the
     # first sector's 6 are all among the 15 lowest, so it is asked for 6 more
-    calls = []
-
-    def counting_eigsh(op, k, **kw):
-        calls.append(k)
-        return eigsh(op, k, **kw)
-
     diag = build_problem_diagonal(build_coloring_qubo(path_graph(5), 2))
     dense = lowest_eigenvalues(0.5, LIN, diag, 15)
-    monkeypatch.setattr(spectrum, "eigsh", counting_eigsh)
-    monkeypatch.setattr(spectrum, "DENSE_QUBIT_LIMIT", 0)
+    calls = _count_eigsh(monkeypatch)
+    _force_eigsh(monkeypatch)
     iterative = lowest_eigenvalues(0.5, LIN, diag, 15)
     assert calls == [6] * 5 and len(diag.sectors) == 4
     assert np.allclose(iterative, dense, rtol=0.0, atol=1e-9)
+
+
+def test_a_sector_goes_through_eigsh_by_its_size_not_the_qubit_count(monkeypatch):
+    # P5 at k = 2 has 10 qubits in sectors of 240 to 288 states, each solved
+    # dense. ER(12, 0.3, 5) at k = 1 has no symmetry, so its one sector holds
+    # all 4 096 states, and it goes through eigsh
+    calls = _count_eigsh(monkeypatch)
+    p5 = build_problem_diagonal(build_coloring_qubo(path_graph(5), 2))
+    spectrum_sweep(LIN, p5, np.linspace(0.0, 1.0, 11), 15)
+    assert calls == []
+    er = build_problem_diagonal(build_coloring_qubo(generate_er(12, 0.3, 5), 1))
+    assert [h.shape[0] for h in er.sectors] == [4096]
+    lowest_eigenvalues(0.5, LIN, er, 15)
+    assert calls
+
+
+@pytest.mark.parametrize("g, k", [(complete_graph(6), 2), (complete_graph(3), 4)],
+                         ids=["K6-k2", "K3-k4"])
+def test_levels_next_to_s1_match_the_full_matrix(g, k):
+    # within about 1e-3 of s = 1 the low levels bunch into clusters that
+    # ARPACK may not converge on: with a 512-state dense bound, which puts
+    # K6's 532-state sector on eigsh, all three seeded starts failed at
+    # s = 0.9999 and 0.99999. A sector of at most 2^12 states whose start
+    # fails is solved dense
+    diag = build_problem_diagonal(build_coloring_qubo(g, k))
+    for s in (0.999, 0.99999):
+        full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, diag))
+        assert np.allclose(lowest_eigenvalues(s, LIN, diag, 25), full[:25], rtol=0.0, atol=1e-9)
+
+
+def _failing_eigsh(mp) -> list[int]:
+    """Make every eigsh start fail; the list it returns gets each start's
+    operator size."""
+    starts = []
+
+    def no_convergence(op, k, **kw):
+        starts.append(op.shape[0])
+        raise ArpackNoConvergence("no convergence", np.array([]), np.empty((op.shape[0], 0)))
+
+    mp.setattr(spectrum, "eigsh", no_convergence)
+    return starts
+
+
+def test_a_failed_start_hands_its_sector_to_the_dense_solve(monkeypatch):
+    # P4 at k = 2: sectors of 60 to 76 states, forced through eigsh, each
+    # within the fallback bound, so each is solved dense after one start
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(4), 2))
+    dense = lowest_eigenvalues(0.5, LIN, diag, 15)
+    starts = _failing_eigsh(monkeypatch)
+    monkeypatch.setattr(spectrum, "DENSE_SECTOR_STATES", 0)
+    assert np.array_equal(lowest_eigenvalues(0.5, LIN, diag, 15), dense)
+    assert starts == [h.shape[0] for h in diag.sectors]
+
+
+def test_a_sector_past_the_fallback_bound_keeps_three_starts(monkeypatch):
+    # P7 at k = 2: its first sector holds 4 224 states, more than 2^12
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
+    starts = _failing_eigsh(monkeypatch)
+    with pytest.raises(SpectrumError, match="failed to converge after 3 seeded restarts"):
+        lowest_eigenvalues(0.5, LIN, diag, 15)
+    assert starts == [4224] * 3
 
 
 @settings(max_examples=40, deadline=None)
