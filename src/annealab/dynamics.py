@@ -29,6 +29,13 @@ dropped tail 2 sum_{k>m} |J_k(alpha)| is at most BESSEL_TAIL (1e-15). Every
 the 2-norm, and the factors after it are unitary, so one evolve's truncation
 sums to at most (number of exponentials) * 1e-15. Past alpha the Bessel
 coefficients decay faster than exponentially, so m is a few orders past alpha.
+The phases 2 (-i)^k are sliced from one module table, rebuilt at twice the
+length whenever a longer series asks, so its memory follows the longest
+series rather than the number of series lengths seen. At 6 qubits a term
+costs a few microseconds, most of it the overhead of each numpy call, so
+each term is written out in the loop, with its scalar operands converted to
+complex once per exponential; the arithmetic and its operand order are those
+of the plain recurrence, byte for byte.
 
 Every generator of ProblemDiagonal.symmetries is a bit permutation that
 keeps the diagonal, so it commutes with H(s), and a start it fixes keeps
@@ -143,6 +150,21 @@ def _bessel_series(alpha: float) -> np.ndarray:
     return bessel[:bessel.size - int(np.count_nonzero(2.0 * tails <= BESSEL_TAIL))]
 
 
+_PHASE_TABLE = np.empty(0, np.complex128)
+
+
+def _phases(count: int) -> np.ndarray:
+    """2 (-i)^k for k = 0 .. count - 1: a read-only slice of one table,
+    rebuilt at twice the length when a longer series asks, so it holds about
+    twice the longest series' terms. Each entry is computed on its own, so a
+    slice's bytes do not depend on the table's length."""
+    global _PHASE_TABLE
+    if _PHASE_TABLE.size < count:
+        _PHASE_TABLE = 2.0 * (-1j) ** np.arange(2 * count)
+        _PHASE_TABLE.flags.writeable = False
+    return _PHASE_TABLE[:count]
+
+
 def _chebyshev_exp(diag_vals, flips, a, b, lo, hi, psi, dt):
     """exp(-i H dt) psi for H = a*diag + b*flips with spectrum in [lo, hi]:
     flips(x) returns sum_j sigma^x_j x in a new array, in the space of psi
@@ -151,37 +173,38 @@ def _chebyshev_exp(diag_vals, flips, a, b, lo, hi, psi, dt):
     radius = 0.5 * (hi - lo) + 1e-12
     alpha = radius * dt
     bessel = _bessel_series(alpha)
-    n_terms = bessel.size - 1
-    ks = np.arange(n_terms + 1)
-    coefs = 2.0 * (-1j) ** ks * bessel
+    coefs = _phases(bessel.size) * bessel
     coefs[0] *= 0.5
-    # numpy would cast the real diagonal on every product; the values are the same
+    coefs = coefs.tolist()
+    # numpy would cast the real diagonal on every product, and convert a
+    # Python scalar on every call, to these complex values
     shifted = ((a * diag_vals - center) / radius).astype(np.complex128)
-    scale = b / radius
-
-    def hmv(x, out):
-        np.multiply(shifted, x, out=out)
-        if b != 0.0:
-            hx = flips(x)
-            out += np.multiply(scale, hx, out=hx)
-        return out
+    scale, two = np.array(b / radius, np.complex128), np.array(2.0, np.complex128)
+    multiply, add = np.multiply, np.add
 
     # three rotating buffers; the coefficient product reuses the retiring
     # T_{k-2}. Operands keep the order (scalar, array): numpy's SIMD complex
-    # multiply is not bitwise commutative.
+    # multiply is not bitwise commutative. Each term is written out rather
+    # than called, which small states notice.
     t_prev = psi.astype(np.complex128, copy=True)
     t_cur = np.empty_like(t_prev)
     t_next = np.empty_like(t_prev)
-    acc = coefs[0] * t_prev
-    hmv(t_prev, t_cur)
-    acc += np.multiply(coefs[1], t_cur, out=t_next)
-    for k in range(2, n_terms + 1):
-        hmv(t_cur, t_next)
-        np.multiply(2.0, t_next, out=t_next)
+    acc = multiply(coefs[0], t_prev)
+    multiply(shifted, t_prev, out=t_cur)
+    if b != 0.0:
+        hx = flips(t_prev)
+        add(t_cur, multiply(scale, hx, out=hx), out=t_cur)
+    add(acc, multiply(coefs[1], t_cur, out=t_next), out=acc)
+    for coef in coefs[2:]:
+        multiply(shifted, t_cur, out=t_next)
+        if b != 0.0:
+            hx = flips(t_cur)
+            add(t_next, multiply(scale, hx, out=hx), out=t_next)
+        multiply(two, t_next, out=t_next)
         np.subtract(t_next, t_prev, out=t_next)
-        acc += np.multiply(coefs[k], t_next, out=t_prev)
+        add(acc, multiply(coef, t_next, out=t_prev), out=acc)
         t_prev, t_cur, t_next = t_cur, t_next, t_prev
-    return np.multiply(np.exp(-1j * center * dt), acc, out=acc)
+    return multiply(np.exp(-1j * center * dt), acc, out=acc)
 
 
 def _symmetric_flips(orbits: Orbits, n: int):

@@ -262,6 +262,16 @@ def _flip_table(k: int, width: int) -> np.ndarray:
     return table
 
 
+@cache
+def _driver_plan(dim: int) -> tuple[int, int, int, np.ndarray]:
+    """driver_apply's plan for dim amplitudes: the qubit count n, the k low
+    bits gathered, the block width and the (k, width) flip table."""
+    n = dim.bit_length() - 1
+    k = min(n, GATHER_BITS)
+    width = min(dim, GATHER_BLOCK)
+    return n, k, width, _flip_table(k, width)
+
+
 def driver_apply(state: np.ndarray) -> np.ndarray:
     """(sum_j sigma^x_j) |state>: superpose all single-bit-flip images.
 
@@ -271,12 +281,11 @@ def driver_apply(state: np.ndarray) -> np.ndarray:
     they are gathered with one fancy index per block and folded by
     np.add.reduce along the image axis (initial=0.0 makes the +0.0 start
     explicit, so an all -0.0 sum is +0.0); higher bits add their reversed
-    halves in place."""
+    halves in place. The plan (bit counts, block width, flip table) is
+    computed once per state size, so a small state pays for its arithmetic
+    rather than for the set-up."""
     dim = state.shape[0]
-    n = dim.bit_length() - 1
-    k = min(n, GATHER_BITS)
-    width = min(dim, GATHER_BLOCK)
-    flips = _flip_table(k, width)
+    n, k, width, flips = _driver_plan(dim)
     if width == dim:
         out = np.add.reduce(state[flips], axis=0, initial=0.0)
     else:
@@ -321,9 +330,9 @@ def _lanczos_size(k: int) -> int:
 def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
     """The k lowest eigenpairs of the sector operator h orthogonal to the
     orthonormal eigenvectors vecs of h, ascending, from ARPACK with
-    deterministic seeded starts: one where h has at most 2^DENSE_QUBIT_LIMIT
-    states, and None if it fails, so that the dense solve takes over; up to
-    three past that. Shifting vecs' levels past every level of h leaves the
+    deterministic seeded starts: one of at most dim / 16 restarts where h has
+    at most 2^DENSE_QUBIT_LIMIT states, and None if it fails, so that the
+    dense solve takes over; up to three of dim restarts past that. Shifting vecs' levels past every level of h leaves the
     lowest levels of the rest as the lowest of the operator, so a copy of a
     degenerate level that an earlier solve missed is found."""
     dim = h.shape[0]
@@ -344,9 +353,12 @@ def _extremal_pairs(s: float, h: csc_array, k: int, vecs: np.ndarray):
         # so the seeds also count the vectors found
         v0 = np.random.default_rng(20_000 + 3 * vecs.shape[1] + attempt).standard_normal(dim)
         try:
-            # a start can stall on a level repeated within the sector; after
-            # dim restarts the dense solve or the next seed takes over
-            vals, new = eigsh(op, k=k, which="SA", v0=v0, ncv=_lanczos_size(k), maxiter=dim)
+            # a start can stall on a level repeated within the sector, or on
+            # the bunched levels near s = 0 or 1. The next seed takes over
+            # after dim restarts; the dense solve after dim / 16, about 2 300
+            # matvecs at 1 312 states, which it solves in about 0.1 s
+            vals, new = eigsh(op, k=k, which="SA", v0=v0, ncv=_lanczos_size(k),
+                              maxiter=dim // 16 if dense_fallback else dim)
             order = np.argsort(vals)
             return vals[order], new[:, order]
         except ArpackNoConvergence as err:
@@ -390,10 +402,11 @@ def lowest_eigenvalues(s: float, sched: Schedule, diag: ProblemDiagonal, m: int)
     missing. Where a symmetry outside the sectors' group can repeat a level
     within a sector (diag.multiplicity_free is False), each sector also gets
     one more single-level solve orthogonal to all it found, which finds any
-    copy the earlier ones missed. Where ARPACK's start fails on a sector of
-    at most 2^DENSE_QUBIT_LIMIT states, as it can within about 1e-3 of s = 0
-    or 1, that sector is solved dense instead; a larger one gets three
-    seeded starts, then SpectrumError.
+    copy the earlier ones missed. Where ARPACK's start on a sector of at
+    most 2^DENSE_QUBIT_LIMIT states has not converged after dim / 16
+    restarts, as can happen within about 1e-3 of s = 0 or 1, that sector is
+    solved dense instead; a larger one gets three seeded starts of dim
+    restarts, then SpectrumError.
 
     The crossover was measured sector by sector on 17 ER and complete graphs
     at k = 1-4 (10-12 qubits, sectors of up to 1 312 states, m = 15 and 25,

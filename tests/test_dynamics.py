@@ -338,6 +338,43 @@ def test_chebyshev_series_matches_unbuffered_recurrence_byte_for_byte(data, n, a
     assert_same_bytes(got, _chebyshev_exp_unbuffered(vals, a, b, lo, hi, psi, dt))
 
 
+def test_phase_table_slices_match_a_fresh_power_byte_for_byte(monkeypatch):
+    # grown for 501 terms, sliced for 11, grown again for 701
+    monkeypatch.setattr(dynamics, "_PHASE_TABLE", np.empty(0, np.complex128))
+    for m in (500, 10, 700):
+        assert_same_bytes(dynamics._phases(m + 1), 2.0 * (-1j) ** np.arange(m + 1))
+
+
+@pytest.mark.parametrize("case", ["sweep forward", "sweep reverse", "13-qubit reverse"])
+def test_evolve_matches_the_unbuffered_series_byte_for_byte(memo, monkeypatch, case):
+    # whole evolves, every exponential of the plan on the gather driver
+    # against the allocating series on the loop driver; the 13-qubit state
+    # spans two gather blocks, past the 12 qubits of the other evolve tests
+    sched = resolve_schedule("steep")
+    if case == "13-qubit reverse":
+        # ER(13, 0.3, 0) at one color without its source graph: no
+        # symmetries, so the evolve runs in the full space
+        q = build_coloring_qubo(generate_er(13, 0.3, 0), 1)
+        diag = ProblemDiagonal(dataclasses.replace(q, source=None))
+        assert 1 << diag.n_qubits == 2 * GATHER_BLOCK and not diag.symmetries
+        start = basis_state(index_to_bits(int(np.argmin(diag.values)), 13))
+        path, time_scale = make_reverse_path(0.44, 2.0), 1.0
+    else:
+        diag = _sweep_problem()
+        start, path, time_scale = {
+            "sweep forward": (driver_ground(6), make_forward_path(100.0), SLOW_TIME_SCALE),
+            "sweep reverse": (basis_state(index_to_bits(int(np.argmin(diag.values)), 6)),
+                              make_reverse_path(0.44, 100.0), 1.0),
+        }[case]
+    got = evolve(start, path, sched, diag, time_scale=time_scale)
+    monkeypatch.setattr(dynamics, "_MEMO", dynamics._Memo())
+    monkeypatch.setattr(dynamics, "_chebyshev_exp",
+                        lambda diag_vals, flips, *args: _chebyshev_exp_unbuffered(diag_vals, *args))
+    want = evolve(start, path, sched, diag, time_scale=time_scale)
+    assert_same_bytes(got.amplitudes, want.amplitudes)
+    assert got.norm_drift == want.norm_drift
+
+
 def test_evolve_matches_reference_series_on_sweep_problem(monkeypatch):
     # the benchmark's 6-qubit sweep problem: forward, then reverse at each s'
     # of its grid, against evolve run on the reference series

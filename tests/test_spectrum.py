@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -96,19 +96,34 @@ def test_driver_apply_matches_loop_byte_for_byte(data, n, is_complex):
     assert_same_bytes(driver_apply(state), _driver_apply_loop(state))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("dim", [GATHER_BLOCK, 2 * GATHER_BLOCK])
-def test_driver_apply_matches_loop_across_gather_blocks(dim, dtype):
-    # exactly one gather block, then the first size that takes two
-    rng = np.random.default_rng(dim)
+def _special_state(rng, dim, dtype):
+    """A random state with about 30 % of its entries from SPECIAL_ENTRIES."""
     parts = []
     for _ in range(1 if dtype is np.float64 else 2):
         x = rng.standard_normal(dim)
         spots = rng.random(dim) < 0.3
         x[spots] = rng.choice(SPECIAL_ENTRIES, size=int(spots.sum()))
         parts.append(x)
-    for state in (_state(*parts), np.full(dim, -0.0, dtype=dtype)):
+    return _state(*parts)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("dim", [GATHER_BLOCK, 2 * GATHER_BLOCK])
+def test_driver_apply_matches_loop_across_gather_blocks(dim, dtype):
+    # exactly one gather block, then the first size that takes two
+    rng = np.random.default_rng(dim)
+    for state in (_special_state(rng, dim, dtype), np.full(dim, -0.0, dtype=dtype)):
         assert_same_bytes(driver_apply(state), _driver_apply_loop(state))
+
+
+def test_a_driver_plan_never_serves_another_size():
+    # plans are cached by state size: interleaved sizes, one and two gather
+    # blocks, the first size again, real and complex
+    rng = np.random.default_rng(7)
+    for n in (7, 13, 6, 12, 7):
+        for dtype in (np.float64, np.complex128):
+            state = _special_state(rng, 1 << n, dtype)
+            assert_same_bytes(driver_apply(state), _driver_apply_loop(state))
 
 
 def test_driver_apply_allocates_at_most_two_and_a_half_states():
@@ -619,6 +634,38 @@ def test_levels_next_to_s1_match_the_full_matrix(g, k):
     for s in (0.999, 0.99999):
         full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, diag))
         assert np.allclose(lowest_eigenvalues(s, LIN, diag, 25), full[:25], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.9999, 0.99999])
+def test_a_stalled_start_hands_its_sector_to_the_dense_solve_within_a_few_thousand_matvecs(
+        monkeypatch, s):
+    # ER(6, 0.3, 0) at k = 2: sectors of 1 312, 1 248, 768 and 768 states, so
+    # the first two go through eigsh. With dim restarts a start ran 25 593
+    # matvecs at s = 0.9999 before it converged, and 33 749 at 0.99999
+    # before it failed; capped, a stalled start stops near 2 300 and its
+    # sector is solved dense
+    diag = build_problem_diagonal(build_coloring_qubo(generate_er(6, 0.3, 0), 2))
+    assert [h.shape[0] for h in diag.sectors] == [1312, 1248, 768, 768]
+    matvecs = []
+
+    def counting_eigsh(op, k, **kw):
+        op = aslinearoperator(op)
+        count = [0]
+
+        def matvec(x):
+            count[0] += 1
+            return op.matvec(x)
+
+        try:
+            return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), k, **kw)
+        finally:
+            matvecs.append(count[0])
+
+    monkeypatch.setattr(spectrum, "eigsh", counting_eigsh)
+    got = lowest_eigenvalues(s, LIN, diag, 25)
+    assert matvecs and max(matvecs) <= 4000
+    full = np.linalg.eigvalsh(dense_hamiltonian(s, LIN, diag))
+    assert np.allclose(got, full[:25], rtol=0.0, atol=1e-9)
 
 
 def _failing_eigsh(mp) -> list[int]:
