@@ -40,14 +40,14 @@ of the plain recurrence, byte for byte.
 Every generator of ProblemDiagonal.symmetries is a bit permutation that
 keeps the diagonal, so it commutes with H(s), and a start it fixes keeps
 every amplitude equal along each orbit of their group: the state stays in
-the trivial sector, spanned by |O> = |O|^-1/2 sum_{y in O} |y> over the
-orbits O of ProblemDiagonal.orbits (Sandvik, AIP Conf. Proc. 1297, 135
-(2010)). The driver ground state is such a start, so a forward anneal runs
-there, on 3-6 times fewer amplitudes for the default problems, where
-n > GATHER_BITS; elsewhere (reverse anneals, problems without symmetries,
-small problems) the full space's arithmetic runs unchanged. The plan, the
-factors, the spectral bounds and the drift check are the same on either
-space.
+the trivial sector (Sandvik, AIP Conf. Proc. 1297, 135 (2010)) and is held
+by its orbit amplitudes, the full space's own read at the labels of
+ProblemDiagonal.orbits. The driver on them is driver_apply read at the
+labels, byte for byte, and their norm weights each orbit by its size. The
+driver ground state is such a start, so a forward anneal runs there, on 3-6
+times fewer amplitudes for the default problems, where n > GATHER_BITS;
+elsewhere (reverse anneals, problems without symmetries, small problems)
+the full space's arithmetic runs unchanged.
 
 The scheme is norm-preserving by construction (drift ~1e-14); a segment whose
 norm drifts past DRIFT_BOUND raises IntegratorError instead of being
@@ -72,7 +72,7 @@ from scipy.special import jv
 
 from .coloring_qubo import Sample, bits_to_index, index_to_bits
 from .schedules import AnnealPath, Schedule
-from .spectrum import GATHER_BITS, GATHER_BLOCK, Orbits, ProblemDiagonal, driver_apply
+from .spectrum import GATHER_BITS, ProblemDiagonal, _orbit_driver, driver_apply
 
 DRIFT_BOUND = 1e-6
 # forward-anneal time scale calibrated so the P5/k=2 linear anneal leaves
@@ -168,7 +168,7 @@ def _phases(count: int) -> np.ndarray:
 def _chebyshev_exp(diag_vals, flips, a, b, lo, hi, psi, dt):
     """exp(-i H dt) psi for H = a*diag + b*flips with spectrum in [lo, hi]:
     flips(x) returns sum_j sigma^x_j x in a new array, in the space of psi
-    and diag_vals (the full space's `driver_apply`, or `_symmetric_flips`)."""
+    and diag_vals (`driver_apply`, or the orbit driver on orbit amplitudes)."""
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) + 1e-12
     alpha = radius * dt
@@ -205,30 +205,6 @@ def _chebyshev_exp(diag_vals, flips, a, b, lo, hi, psi, dt):
         add(acc, multiply(coef, t_next, out=t_prev), out=acc)
         t_prev, t_cur, t_next = t_cur, t_next, t_prev
     return multiply(np.exp(-1j * center * dt), acc, out=acc)
-
-
-def _symmetric_flips(orbits: Orbits, n: int):
-    """sum_j sigma^x_j in the trivial sector of the symmetries' group, on
-    coordinates c in the orbit basis |O> = |O|^-1/2 sum_{y in O} |y>: with
-    w = c / sqrt|O|, (X c)[L] = sqrt|O_L| sum_j w[row(L ^ 2^j)]. Each sum
-    runs over j = 0..n-1 from +0.0, gathered GATHER_BLOCK orbits at a time
-    as in driver_apply."""
-    root = np.sqrt(orbits.sizes)
-    bits, labels = (1 << np.arange(n))[:, None], orbits.labels
-    # block i, row j: the rows of block i's labels with bit j flipped, as
-    # contiguous intp arrays, which numpy gathers by several times faster
-    # than a strided or int32 index
-    starts = range(0, labels.size, GATHER_BLOCK)
-    blocks = [orbits.row[labels[r:r + GATHER_BLOCK] ^ bits].astype(np.intp) for r in starts]
-
-    def flips(c):
-        w = c / root
-        out = np.empty_like(w)
-        for r, block in zip(starts, blocks):
-            np.add.reduce(w[block], axis=0, initial=0.0, out=out[r:r + GATHER_BLOCK])
-        return np.multiply(root, out, out=out)
-
-    return flips
 
 
 class _Memo(OrderedDict):
@@ -334,13 +310,13 @@ def evolve(
     Past GATHER_BITS qubits, a start that every generator of
     diag.symmetries fixes exactly (the driver ground state, say) never
     leaves the trivial sector of their group, which H(s) commutes with, so
-    it is propagated there, one amplitude per orbit, and expanded to the
-    full space at the end. At GATHER_BITS qubits or fewer the smaller space
-    does not pay for its gathers."""
+    it is propagated there on one amplitude per orbit, under a norm that
+    weights each by its orbit's size, and read back at every state at the
+    end. At GATHER_BITS qubits or fewer the smaller space does not pay."""
     if state.n_qubits != diag.n_qubits:
         raise ValueError("state and problem dimensions differ")
     n = diag.n_qubits
-    psi, values, flips = state.amplitudes, diag.values, driver_apply
+    psi = state.amplitudes
     gens = diag.symmetries if n > GATHER_BITS else ()
     symmetric = bool(gens) and all(np.array_equal(psi[g], psi) for g in gens)
     key = _evolve_key(state, path, sched, diag, accuracy, time_scale, symmetric)
@@ -349,28 +325,28 @@ def evolve(
         return _MEMO[key]
     steps_per_segment = plan(path, sched, diag, accuracy, time_scale)
     dmin, dmax = diag.bounds
+    # the space: the states kept, the map back, the driver on them and their norm
     if symmetric:
-        # the state's coordinates in the trivial sector's orbit basis
-        orbits = diag.orbits
-        root = np.sqrt(orbits.sizes)
-        psi, values = root * psi[orbits.labels], values[orbits.labels]
-        flips = _symmetric_flips(orbits, n)
+        keep, back, flips = diag.orbits.labels, diag.orbits.row, _orbit_driver(diag.orbits)
+        norm_of = lambda w: math.sqrt(diag.orbits.sizes @ np.abs(w) ** 2)
+    else:
+        keep = back = slice(None)
+        flips, norm_of = driver_apply, np.linalg.norm
+    psi, values = psi[keep], diag.values[keep]
     drift_total = 0.0
     for (t0, t1, s0, s1), steps in zip(path.segments(), steps_per_segment):
         dt = (t1 - t0) * time_scale / steps
         for a, b in _factors(sched, s0, s1, steps):
             lo, hi = sorted((a * dmin, a * dmax))
             psi = _chebyshev_exp(values, flips, a, b, lo - abs(b) * n, hi + abs(b) * n, psi, dt)
-        norm = float(np.linalg.norm(psi))
+        norm = float(norm_of(psi))
         drift = abs(norm - 1.0)
         if drift > DRIFT_BOUND:
             raise IntegratorError(
                 f"norm drift {drift:.3e} exceeds {DRIFT_BOUND} on segment [{t0}, {t1}]")
         psi = psi / norm
         drift_total += drift
-    if symmetric:
-        psi = (psi / root)[orbits.row]
-    final = QuantumState(n, psi, norm_drift=drift_total)
+    final = QuantumState(n, psi[back], norm_drift=drift_total)
     final.amplitudes.flags.writeable = False
     _MEMO.put(key, final)
     return final

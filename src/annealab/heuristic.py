@@ -7,7 +7,6 @@ valid output or when the cycle budget runs out.
 """
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
@@ -149,9 +148,6 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_jsonl(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _as_entropy(seed) -> tuple[int, ...]:

@@ -298,6 +298,27 @@ def driver_apply(state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orbit_driver(orbits: Orbits):
+    """driver_apply on orbit amplitudes w, w[i] the amplitude every state of
+    orbit i carries: (X w)[i] = sum_j w[row[labels[i] ^ 2^j]], that is
+    driver_apply(w[row])[labels] byte for byte (the same images, summed in bit
+    order j = 0..n-1 from +0.0). Gathered GATHER_BLOCK orbits at a time (n
+    blocks of scratch), by contiguous intp indices built once, which numpy
+    gathers several times faster than strided or int32 ones."""
+    labels, bits = orbits.labels, (1 << np.arange(orbits.row.size.bit_length() - 1))[:, None]
+    starts = range(0, labels.size, GATHER_BLOCK)
+    # block i, row j: the rows of block i's labels with bit j flipped
+    blocks = [orbits.row[labels[r:r + GATHER_BLOCK] ^ bits].astype(np.intp) for r in starts]
+
+    def flips(w):
+        out = np.empty_like(w)
+        for r, block in zip(starts, blocks):
+            np.add.reduce(w[block], axis=0, initial=0.0, out=out[r:r + GATHER_BLOCK])
+        return out
+
+    return flips
+
+
 def _sector_operator(a: float, b: float, h: csc_array) -> csc_array:
     """H(s) in one sector (see the module docstring): a matrix of
     diag.sectors with each column's diagonal entry scaled by a and its flip

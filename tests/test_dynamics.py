@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from annealab import dynamics
+from annealab import dynamics, spectrum
 from annealab.coloring_qubo import bits_to_index, build_coloring_qubo, index_to_bits, validate
 from annealab.dynamics import (
     BESSEL_TAIL,
@@ -655,18 +654,19 @@ def _with_and_without_symmetries(q):
 
 @pytest.fixture
 def sector_matvecs(monkeypatch):
-    """Sizes of the inputs to every trivial-sector operator evolve builds."""
-    calls, build = [], dynamics._symmetric_flips
+    """Sizes of the inputs to every orbit driver evolve builds (spectrum's,
+    through the name dynamics binds it by)."""
+    calls, build = [], spectrum._orbit_driver
 
-    def spy(orbits, n):
-        flips = build(orbits, n)
+    def spy(orbits):
+        flips = build(orbits)
 
-        def counted(c):
-            calls.append(c.size)
-            return flips(c)
+        def counted(w):
+            calls.append(w.size)
+            return flips(w)
         return counted
 
-    monkeypatch.setattr(dynamics, "_symmetric_flips", spy)
+    monkeypatch.setattr(dynamics, "_orbit_driver", spy)
     return calls
 
 
@@ -708,30 +708,3 @@ def test_evolve_keeps_the_full_space_where_the_sector_does_not_pay(memo, sector_
     got = evolve(start, path, sched, sym, time_scale=time_scale)
     assert sector_matvecs == []
     assert evolve(start, path, sched, full, time_scale=time_scale) is got and len(memo) == 1
-
-
-def test_symmetric_flips_are_the_driver_on_symmetric_states():
-    # P7 at k = 2: 14 qubits, 4 224 orbits, so two gather blocks
-    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
-    labels, row, sizes, _ = diag.orbits
-    assert labels.size > GATHER_BLOCK
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal(labels.size) + 1j * rng.standard_normal(labels.size)
-    full = (c / np.sqrt(sizes))[row]
-    want = driver_apply(full)[labels] * np.sqrt(sizes)
-    flips = dynamics._symmetric_flips(diag.orbits, diag.n_qubits)
-    assert np.max(np.abs(flips(c) - want)) <= 1e-12
-
-
-def test_symmetric_flips_allocate_two_sector_states_and_one_gather_block():
-    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
-    n = diag.n_qubits
-    flips = dynamics._symmetric_flips(diag.orbits, n)
-    c = np.random.default_rng(0).standard_normal(diag.orbits.labels.size).astype(np.complex128)
-    tracemalloc.start()
-    try:
-        flips(c)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * c.nbytes + n * GATHER_BLOCK * c.itemsize + (16 << 10)

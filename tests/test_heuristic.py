@@ -11,6 +11,7 @@ import pytest
 from annealab.coloring_qubo import Sample, build_coloring_qubo, index_to_bits, validate
 from annealab import dynamics, svmc
 from annealab.dynamics import REVERSE_TIME_SCALE, SLOW_TIME_SCALE
+from annealab.experiments import _write_jsonl
 from annealab.graphs import Graph, path_graph
 from annealab.heuristic import (
     FEED_LAST,
@@ -266,12 +267,15 @@ def test_record_outcome_invariants():
         RunRecord(cycles=(cyc,), outcome=OUTCOME_RA, **kwargs)
 
 
-def test_record_serializes_to_jsonl():
+def test_record_serializes_to_jsonl(tmp_path):
     rec = assisted_reverse_anneal(
         P5, StatevectorBackend(), resolve_schedule("linear"), s_prime=0.5,
         forward_shots=10, max_cycles=0, seed=1,
     )
-    loaded = json.loads(rec.to_jsonl())
+    _write_jsonl(tmp_path / "records.jsonl", [rec.to_dict()])
+    line, = (tmp_path / "records.jsonl").read_text().splitlines()
+    loaded = json.loads(line)
+    assert loaded == json.loads(json.dumps(rec.to_dict()))
     assert loaded["problem_id"] == problem_id(P5)
     assert loaded["k"] == 2
     assert loaded["n_vars"] == 10

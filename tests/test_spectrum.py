@@ -138,6 +138,33 @@ def test_driver_apply_allocates_at_most_two_and_a_half_states():
     assert peak <= 2.5 * state.nbytes
 
 
+@pytest.mark.parametrize("case", ["P7 at k = 2", "P5 at k = 3", "ER(6, 0.5, 15) at k = 2"])
+def test_orbit_driver_is_the_driver_read_at_the_labels_byte_for_byte(case):
+    # orbit amplitudes w stand for the full state w[row]: two gather blocks,
+    # orbits of 1, 2 and 4 states, and a group of order 2
+    graph, k = {"P7 at k = 2": (path_graph(7), 2), "P5 at k = 3": (path_graph(5), 3),
+                "ER(6, 0.5, 15) at k = 2": (generate_er(6, 0.5, 15), 2)}[case]
+    diag = build_problem_diagonal(build_coloring_qubo(graph, k))
+    labels, row, sizes, _ = diag.orbits
+    assert {"P7 at k = 2": labels.size > GATHER_BLOCK, "P5 at k = 3": set(sizes) == {1, 2, 4},
+            "ER(6, 0.5, 15) at k = 2": len(diag.symmetries) == 1}[case]
+    w = _special_state(np.random.default_rng(0), labels.size, np.complex128)
+    assert_same_bytes(spectrum._orbit_driver(diag.orbits)(w), driver_apply(w[row])[labels])
+
+
+def test_orbit_driver_allocates_one_sector_state_and_one_gather_block():
+    diag = build_problem_diagonal(build_coloring_qubo(path_graph(7), 2))
+    flips = spectrum._orbit_driver(diag.orbits)
+    w = np.random.default_rng(0).standard_normal(diag.orbits.labels.size).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        flips(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + diag.n_qubits * GATHER_BLOCK * w.itemsize + (16 << 10)
+
+
 def test_apply_hamiltonian_matches_dense():
     g = generate_er(3, 0.6, 7)
     q = build_coloring_qubo(g, 2)
